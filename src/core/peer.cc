@@ -4,6 +4,7 @@
 
 #include "src/core/dependency.h"
 #include "src/core/query.h"
+#include "src/obs/metrics.h"
 #include "src/relational/eval.h"
 #include "src/util/logging.h"
 
@@ -119,6 +120,9 @@ void Peer::OnDeltaApplied(const storage::DeltaMap& delta) {
   // visibility is decoupled from fsync — safe because the protocol is
   // monotone and a crash loses nothing a reader could not re-derive.
   {
+    static obs::Histogram* publish_micros =
+        obs::Registry::Global().GetHistogram("mvcc.publish_micros");
+    obs::Stopwatch publish;
     uint64_t committed = snapshots_->NoteBatchCommitted();
     std::vector<std::string> touched;
     touched.reserve(delta.size());
@@ -128,11 +132,12 @@ void Peer::OnDeltaApplied(const storage::DeltaMap& delta) {
     }
     snapshots_->Publish(
         rel::AdvanceSnapshot(snapshots_->Acquire(), db_, touched, committed));
+    publish_micros->Record(publish.ElapsedMicros());
   }
   if (storage_ == nullptr) return;
-  uint64_t wal_start = span_open_ ? runtime_->NowMicros() : 0;
+  obs::Stopwatch wal;
   Status logged = storage_->LogDelta(delta);
-  if (span_open_) RecordWalMicros(runtime_->NowMicros() - wal_start);
+  RecordWalMicros(wal.ElapsedMicros());
   if (!logged.ok()) {
     P2PDB_LOG(kError) << "WAL append failed at node " << id_ << ": "
                       << logged.ToString();

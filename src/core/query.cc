@@ -50,8 +50,7 @@ Result<bool> SnapshotQueryPoint(const rel::SnapshotStore& store,
                                 const rel::Tuple& key) {
   rel::SnapshotPtr snap = store.Acquire();
   uint64_t start = NowMicros();
-  const rel::Relation* rel = snap->FindRelation(relation);
-  bool found = rel != nullptr && rel->Contains(key);
+  bool found = snap->View(relation).Contains(key);
   RecordServed(store, *snap, NowMicros() - start);
   return found;
 }

@@ -200,9 +200,9 @@ bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
   ++stats_.joins_evaluated;
   const CoordinationRule& rule = rr->rule;
   // Chase apply time = semi-naive join + head application (WAL time is
-  // charged separately inside OnDeltaApplied). One clock pair per join is
-  // noise next to the join itself, so this is not gated.
-  const uint64_t chase_start = peer_->runtime()->NowMicros();
+  // charged separately inside OnDeltaApplied), on the wall clock. One clock
+  // pair per join is noise next to the join itself, so this is not gated.
+  const obs::Stopwatch chase_timer;
 
   // Semi-naive join: the delta part contributes only its new tuples, every
   // other part its full accumulated answers; one scratch relation per part,
@@ -246,7 +246,7 @@ bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
                                     &peer_->nulls(), options_.chase,
                                     &chase_stats);
   {
-    uint64_t micros = peer_->runtime()->NowMicros() - chase_start;
+    uint64_t micros = chase_timer.ElapsedMicros();
     static obs::Histogram* chase =
         obs::Registry::Global().GetHistogram("update.chase_apply_micros");
     chase->Record(micros);
@@ -400,14 +400,23 @@ void UpdateEngine::OnToken(NodeId from, const wire::Token& msg) {
     LeaderEvaluate(msg);
     return;
   }
-  // A node whose SCC view is out of step with the ring (e.g. freshly
+  wire::Token tok = msg;
+  if (state_ == State::kIdle || session_ != msg.session) {
+    // The leader's (urgent) token can overtake the UpdateStart that makes
+    // this member join its session, and the member's SCC view is empty or
+    // from an earlier session until then. Route on the current topology, and
+    // vote not ready: counters from no session, or an earlier one, must not
+    // close the ring.
+    scc_ = peer_->OwnScc();
+    tok.all_ready = false;
+  }
+  // A node whose SCC view is still out of step with the ring (e.g. freshly
   // restarted, topology not yet re-discovered) cannot route the token; its
   // "successor" may be unknown or itself. Drop it instead of looping — the
   // ring stalls until rediscovery or a new session restores routing.
   if (scc_.size() <= 1) return;
   NodeId next = RingSuccessor(peer_->id());
   if (next == peer_->id()) return;
-  wire::Token tok = msg;
   tok.sum_sent += intra_sent_;
   tok.sum_recv += intra_recv_;
   tok.all_ready = tok.all_ready && state_ != State::kIdle && ExternallyReady();

@@ -20,6 +20,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -94,6 +95,24 @@ class Histogram {
   std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> max_{0};
+};
+
+/// Wall-clock timer for the in-program layer histograms. It reads the steady
+/// clock, not a runtime's NowMicros(), which is simulated time on SimRuntime.
+/// Elapsed time is rounded up to whole microseconds, so a step that took any
+/// time at all never records as 0.
+class Stopwatch {
+ public:
+  Stopwatch() : start_(std::chrono::steady_clock::now()) {}
+  uint64_t ElapsedMicros() const {
+    auto nanos = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     std::chrono::steady_clock::now() - start_)
+                     .count();
+    return static_cast<uint64_t>((nanos + 999) / 1000);
+  }
+
+ private:
+  std::chrono::steady_clock::time_point start_;
 };
 
 /// Named instruments, created on first use and stable for the registry's

@@ -19,9 +19,9 @@ class ReadView {
  public:
   virtual ~ReadView() = default;
 
-  /// The named relation, or nullptr when it does not exist (the evaluator
+  /// The named relation; an empty view when it does not exist (the evaluator
   /// treats a missing relation as empty).
-  virtual const Relation* FindRelation(const std::string& name) const = 0;
+  virtual RelationView View(const std::string& name) const = 0;
 };
 
 /// One node's local database. Relation names are unique within a node; the
@@ -39,9 +39,14 @@ class Database : public ReadView {
   Result<const Relation*> Get(const std::string& name) const;
   Result<Relation*> GetMutable(const std::string& name);
 
-  const Relation* FindRelation(const std::string& name) const override {
+  const Relation* FindRelation(const std::string& name) const {
     auto it = relations_.find(name);
     return it == relations_.end() ? nullptr : &it->second;
+  }
+
+  RelationView View(const std::string& name) const override {
+    const Relation* relation = FindRelation(name);
+    return relation != nullptr ? RelationView(relation) : RelationView();
   }
 
   /// Convenience: inserts into a named relation; true if the tuple was new.

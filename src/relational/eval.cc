@@ -45,8 +45,8 @@ void Backtrack(EvalContext* ctx, size_t depth, Binding* binding) {
     return;
   }
   const Atom& atom = *ctx->order[depth];
-  const Relation* rel = ctx->db->FindRelation(atom.relation);
-  if (rel == nullptr) return;  // Missing relation: empty answer.
+  const RelationView rel = ctx->db->View(atom.relation);
+  if (!rel.exists()) return;  // Missing relation: empty answer.
 
   auto try_tuple = [&](const Tuple& tuple) {
     Binding extended = *binding;
@@ -62,35 +62,19 @@ void Backtrack(EvalContext* ctx, size_t depth, Binding* binding) {
 
   // Index lookup on the first position whose term is already a known value;
   // fall back to a full scan when every position is free.
-  int indexed_pos = -1;
-  Value key;
   for (size_t i = 0; i < atom.terms.size(); ++i) {
     const Term& t = atom.terms[i];
     if (!t.is_var()) {
-      indexed_pos = static_cast<int>(i);
-      key = t.constant;
-      break;
+      rel.ForEachMatch(i, t.constant, try_tuple);
+      return;
     }
     auto it = binding->find(t.var);
     if (it != binding->end()) {
-      indexed_pos = static_cast<int>(i);
-      key = it->second;
-      break;
+      rel.ForEachMatch(i, it->second, try_tuple);
+      return;
     }
   }
-  // The index path is gated on column < arity so a pre-indexed immutable
-  // snapshot never builds an index on demand (the lazy build mutates under
-  // const — unsafe with concurrent readers). An arity-mismatched atom falls
-  // through to the scan, where unification rejects every tuple anyway.
-  if (indexed_pos >= 0 &&
-      static_cast<size_t>(indexed_pos) < rel->schema().arity()) {
-    const Relation::ColumnIndex& index =
-        rel->IndexOn(static_cast<size_t>(indexed_pos));
-    auto [begin, end] = index.equal_range(key);
-    for (auto it = begin; it != end; ++it) try_tuple(*it->second);
-  } else {
-    for (const Tuple& tuple : rel->tuples()) try_tuple(tuple);
-  }
+  rel.ForEach(try_tuple);
 }
 
 // Evaluates `query` with `skip_atom` removed (SIZE_MAX = none) and an

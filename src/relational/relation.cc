@@ -12,25 +12,17 @@ Result<bool> Relation::Insert(Tuple tuple) {
   }
   auto [it, added] = tuples_.insert(std::move(tuple));
   if (added) {
-    // Keep live indexes fresh incrementally: rebuilding on every insert would
-    // make chase loops quadratic.
-    bool indexes_were_fresh = indexed_version_ == version_;
-    ++version_;
-    if (indexes_were_fresh && !indexes_.empty()) {
-      for (auto& [column, index] : indexes_) {
-        if (column < it->arity()) index.emplace(it->at(column), &*it);
-      }
-      indexed_version_ = version_;
+    if (log_ != nullptr) log_->Append(*it);
+    // Keep built indexes fresh incrementally: rebuilding on every insert
+    // would make chase loops quadratic.
+    for (auto& [column, index] : indexes_) {
+      if (column < it->arity()) index.emplace(it->at(column), &*it);
     }
   }
   return added;
 }
 
 const Relation::ColumnIndex& Relation::IndexOn(size_t column) const {
-  if (indexed_version_ != version_) {
-    indexes_.clear();
-    indexed_version_ = version_;
-  }
   auto it = indexes_.find(column);
   if (it == indexes_.end()) {
     ColumnIndex index;
@@ -42,10 +34,12 @@ const Relation::ColumnIndex& Relation::IndexOn(size_t column) const {
   return it->second;
 }
 
-void Relation::PrebuildIndexes() const {
-  for (size_t column = 0; column < schema_.arity(); ++column) {
-    (void)IndexOn(column);
+std::shared_ptr<const RowLog> Relation::SharedLog() const {
+  if (log_ == nullptr) {
+    log_ = std::make_shared<RowLog>(schema_.arity());
+    for (const Tuple& t : tuples_) log_->Append(t);
   }
+  return log_;
 }
 
 std::set<Tuple> Relation::CertainTuples() const {

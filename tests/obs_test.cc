@@ -2,15 +2,19 @@
 // concurrent recording — the TSan job runs this file), histogram bucketing
 // and quantiles, IoCounters queue-depth monotonicity under races, the
 // NetStats::Reset contract (io() counters reset too), and trace collection —
-// span DAG reconstruction, fixpoint latency, critical path, sampling.
+// span DAG reconstruction, fixpoint latency, critical path, sampling — and
+// that in-program layer timings run on the wall clock even in simulation.
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
+#include "src/core/session.h"
+#include "src/net/sim_runtime.h"
 #include "src/net/stats.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/workload/scenario.h"
 
 namespace p2pdb {
 namespace {
@@ -184,6 +188,34 @@ TEST(NetStatsTest, ExportToFoldsCountersIntoRegistry) {
   EXPECT_EQ(snap.counters.at("net.type.Token.messages"), 1u);
   EXPECT_EQ(snap.gauges.at("net.io.inline_dispatch_ratio_x1000"), 750);
   EXPECT_EQ(snap.gauges.at("net.io.send_queue_hwm_bytes"), 4096);
+}
+
+// SimRuntime's clock is simulated and stands still while a handler runs, so
+// layer timings stamped with it read 0; they must use the wall clock.
+TEST(LayerTimingTest, ChaseAndPublishTimesAreWallClockOnSimRuntime) {
+  workload::ScenarioOptions options;
+  options.topology.kind = workload::TopologySpec::Kind::kTree;
+  options.topology.nodes = 7;
+  options.records_per_node = 20;
+  auto system = workload::BuildScenario(options);
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+
+  obs::Registry& registry = obs::Registry::Global();
+  registry.Reset();
+  net::SimRuntime rt;
+  core::Session session(*system, &rt);
+  ASSERT_TRUE(session.RunDiscovery().ok());
+  ASSERT_TRUE(session.RunUpdate().ok());
+  ASSERT_TRUE(session.AllClosed());
+
+  obs::HistogramSnapshot chase =
+      registry.GetHistogram("update.chase_apply_micros")->Snapshot();
+  obs::HistogramSnapshot publish =
+      registry.GetHistogram("mvcc.publish_micros")->Snapshot();
+  EXPECT_GT(chase.count, 0u);
+  EXPECT_GT(chase.sum, 0u);
+  EXPECT_GT(publish.count, 0u);
+  EXPECT_GT(publish.sum, 0u);
 }
 
 obs::TraceSpan MakeSpan(uint64_t trace, uint64_t span, uint64_t parent,

@@ -45,14 +45,12 @@ TEST(RelationTest, InsertChecksArity) {
   EXPECT_FALSE(r.Insert(Tuple({Value::Int(1)})).ok());
 }
 
-TEST(RelationTest, EraseAndContains) {
+TEST(RelationTest, Contains) {
   Relation r(PairSchema());
   Tuple t({Value::Int(1), Value::Int(2)});
+  EXPECT_FALSE(r.Contains(t));
   (void)r.Insert(t);
   EXPECT_TRUE(r.Contains(t));
-  EXPECT_TRUE(r.Erase(t));
-  EXPECT_FALSE(r.Contains(t));
-  EXPECT_FALSE(r.Erase(t));
 }
 
 TEST(RelationTest, CertainTuplesExcludeNulls) {
@@ -78,14 +76,46 @@ TEST(RelationTest, IndexFindsMatches) {
   EXPECT_EQ(count, 3u);  // i = 1, 4, 7.
 }
 
-TEST(RelationTest, IndexInvalidatedByMutation) {
+TEST(RelationTest, IndexFollowsInserts) {
   Relation r(PairSchema());
   (void)r.Insert(Tuple({Value::Int(1), Value::Int(1)}));
   EXPECT_EQ(r.IndexOn(0).count(Value::Int(1)), 1u);
   (void)r.Insert(Tuple({Value::Int(1), Value::Int(2)}));
   EXPECT_EQ(r.IndexOn(0).count(Value::Int(1)), 2u);
-  r.Clear();
-  EXPECT_EQ(r.IndexOn(0).count(Value::Int(1)), 0u);
+}
+
+TEST(RelationTest, SharedLogStartsWithTheTuplesAndFollowsInserts) {
+  Relation r(PairSchema());
+  (void)r.Insert(Tuple({Value::Int(2), Value::Int(0)}));
+  (void)r.Insert(Tuple({Value::Int(1), Value::Int(0)}));
+  std::shared_ptr<const RowLog> log = r.SharedLog();
+  EXPECT_EQ(log, r.SharedLog());  // Started once, then shared.
+  EXPECT_EQ(log->size(), 2u);
+  (void)r.Insert(Tuple({Value::Int(3), Value::Int(0)}));
+  (void)r.Insert(Tuple({Value::Int(3), Value::Int(0)}));  // Duplicate.
+  EXPECT_EQ(log->size(), 3u);
+  EXPECT_TRUE(log->Contains(Tuple({Value::Int(3), Value::Int(0)}), 3));
+}
+
+TEST(RelationTest, CopiesNeverShareTheLog) {
+  Relation r(PairSchema());
+  (void)r.Insert(Tuple({Value::Int(1), Value::Int(2)}));
+  std::shared_ptr<const RowLog> log = r.SharedLog();
+
+  Relation copy = r;
+  (void)copy.Insert(Tuple({Value::Int(5), Value::Int(6)}));
+  EXPECT_EQ(log->size(), 1u);  // The copy's insert stayed out of r's log.
+  EXPECT_NE(copy.SharedLog(), log);
+  EXPECT_EQ(copy.SharedLog()->size(), 2u);
+
+  Relation assigned(PairSchema());
+  (void)assigned.SharedLog();
+  assigned = r;
+  EXPECT_NE(assigned.SharedLog(), log);
+  EXPECT_EQ(assigned.SharedLog()->size(), 1u);
+
+  Relation moved = std::move(r);
+  EXPECT_EQ(moved.SharedLog(), log);  // A move keeps the relation's log.
 }
 
 TEST(DatabaseTest, CreateAndLookup) {

@@ -213,6 +213,28 @@ TEST(UpdateTest, TokenRingClosesLargerCycle) {
   EXPECT_GT(rt.stats().MessagesOfType(net::MessageType::kToken), 0u);
 }
 
+// A random cyclic topology where the ring leader's first token reaches a
+// member before the UpdateStart that makes it join the session. The member
+// must route the token on a fresh SCC view (not drop it and stall the ring
+// forever) and vote not ready for that pass.
+TEST(UpdateTest, TokenOvertakingUpdateStartStillCloses) {
+  workload::ScenarioOptions options;
+  options.topology.kind = workload::TopologySpec::Kind::kRandom;
+  options.topology.nodes = 12;
+  options.topology.seed = 3017;
+  options.records_per_node = 200;
+  options.seed = 3007;
+  auto system = workload::BuildScenario(options);
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  net::SimRuntime::Options sim;
+  sim.seed = 45;
+  net::SimRuntime rt(sim);
+  auto session = RunFull(*system, &rt);
+  std::set<NodeId> open;
+  EXPECT_TRUE(session->AllClosed(&open)) << open.size() << " nodes open";
+  ExpectMatchesGlobalFixpoint(*system, session.get());
+}
+
 TEST(UpdateTest, StatsAreRecorded) {
   auto system = workload::MakeRunningExample();
   ASSERT_TRUE(system.ok());
