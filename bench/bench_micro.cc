@@ -42,6 +42,32 @@ void BM_EvalTwoHopJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_EvalTwoHopJoin)->Arg(256)->Arg(1024)->Arg(4096);
 
+// Semi-naive subscription delta: a two-atom query over `edge`, one atom
+// matched against 1k freshly inserted tuples, the other probed by index.
+void BM_EvalDelta(benchmark::State& state) {
+  rel::Database db = MakeEdgeDb(state.range(0));
+  std::set<rel::Tuple> delta;
+  Rng rng(5);
+  while (delta.size() < 1000) {
+    rel::Tuple t({rel::Value::Int(rng.NextInRange(0, state.range(0) / 4)),
+                  rel::Value::Int(rng.NextInRange(0, state.range(0) / 4))});
+    if (*db.Insert("edge", t)) delta.insert(std::move(t));
+  }
+  rel::ConjunctiveQuery q;
+  q.head_vars = {"X", "Z"};
+  rel::Atom a1, a2;
+  a1.relation = a2.relation = "edge";
+  a1.terms = {rel::Term::Var("X"), rel::Term::Var("Y")};
+  a2.terms = {rel::Term::Var("Y"), rel::Term::Var("Z")};
+  q.atoms = {a1, a2};
+  for (auto _ : state) {
+    auto result = rel::EvaluateQueryDelta(db, q, 0, delta);
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations() * delta.size());
+}
+BENCHMARK(BM_EvalDelta)->Arg(4096);
+
 void BM_ChaseApply(benchmark::State& state) {
   rel::Atom head;
   head.relation = "derived";

@@ -39,9 +39,7 @@ Result<AcyclicPullResult> RunAcyclicPull(
     for (const CoordinationRule* rule : system.RulesWithHead(node)) {
       // Pull each part from its (already final) source: one request + one
       // answer per part; payload sizes measured with the real wire encoding.
-      rel::Database scratch;
-      rel::ConjunctiveQuery join;
-      bool parts_ok = true;
+      std::vector<std::set<rel::Tuple>> answers;
       for (size_t p = 0; p < rule->body.size(); ++p) {
         const CoordinationRule::BodyPart& part = rule->body[p];
         rel::ConjunctiveQuery part_query = rule->PartQuery(p);
@@ -59,28 +57,11 @@ Result<AcyclicPullResult> RunAcyclicPull(
         ans.tuples = *answer;
         result.messages += 2;
         result.bytes += req.Encode().size() + ans.Encode().size() + 26;
-
-        std::vector<std::string> vars = rule->PartExportVars(p);
-        std::string scratch_name = "$" + rule->id + ":" + std::to_string(p);
-        if (!scratch.CreateRelation(rel::RelationSchema(scratch_name, vars))
-                 .ok()) {
-          parts_ok = false;
-          break;
-        }
-        rel::Relation* scratch_rel = *scratch.GetMutable(scratch_name);
-        for (const rel::Tuple& t : rule->domain_map.ApplyToSet(*answer)) {
-          (void)scratch_rel->Insert(t);
-        }
-        rel::Atom atom;
-        atom.relation = scratch_name;
-        for (const std::string& v : vars) {
-          atom.terms.push_back(rel::Term::Var(v));
-        }
-        join.atoms.push_back(std::move(atom));
+        answers.push_back(rule->domain_map.ApplyToSet(*answer));
       }
-      if (!parts_ok) continue;
-      join.builtins = rule->cross_builtins;
-      auto bindings = rel::EvaluateBindings(scratch, join);
+      std::vector<const std::set<rel::Tuple>*> parts;
+      for (const std::set<rel::Tuple>& a : answers) parts.push_back(&a);
+      auto bindings = rule->JoinParts(parts);
       if (!bindings.ok()) return bindings.status();
       rel::ChaseStats step;
       P2PDB_RETURN_IF_ERROR(

@@ -40,35 +40,15 @@ Result<GlobalFixpointResult> ComputeGlobalFixpoint(
       } else {
         // Domain relation: evaluate each part, translate its exported values,
         // then join — mirroring what the distributed head node does.
-        rel::Database scratch;
-        rel::ConjunctiveQuery join;
-        Status scratch_status = Status::OK();
-        for (size_t p = 0; p < rule.body.size() && scratch_status.ok(); ++p) {
-          std::vector<std::string> vars = rule.PartExportVars(p);
-          std::string name = "$" + rule.id + ":" + std::to_string(p);
-          scratch_status = scratch.CreateRelation(
-              rel::RelationSchema(name, vars));
-          if (!scratch_status.ok()) break;
+        std::vector<std::set<rel::Tuple>> answers;
+        for (size_t p = 0; p < rule.body.size(); ++p) {
           auto part_result = rel::EvaluateQuery(db, rule.PartQuery(p));
-          if (!part_result.ok()) {
-            scratch_status = part_result.status();
-            break;
-          }
-          rel::Relation* scratch_rel = *scratch.GetMutable(name);
-          for (const rel::Tuple& t :
-               rule.domain_map.ApplyToSet(*part_result)) {
-            (void)scratch_rel->Insert(t);
-          }
-          rel::Atom atom;
-          atom.relation = name;
-          for (const std::string& v : vars) {
-            atom.terms.push_back(rel::Term::Var(v));
-          }
-          join.atoms.push_back(std::move(atom));
+          if (!part_result.ok()) return part_result.status();
+          answers.push_back(rule.domain_map.ApplyToSet(*part_result));
         }
-        if (!scratch_status.ok()) return scratch_status;
-        join.builtins = rule.cross_builtins;
-        bindings = rel::EvaluateBindings(scratch, join);
+        std::vector<const std::set<rel::Tuple>*> parts;
+        for (const std::set<rel::Tuple>& a : answers) parts.push_back(&a);
+        bindings = rule.JoinParts(parts);
       }
       if (!bindings.ok()) return bindings.status();
       rel::ChaseStats step;

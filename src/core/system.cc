@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "src/relational/eval.h"
 #include "src/util/string_util.h"
 
 namespace p2pdb::core {
@@ -46,6 +47,29 @@ rel::ConjunctiveQuery CoordinationRule::PartQuery(size_t index) const {
   q.atoms = body[index].atoms;
   q.builtins = body[index].builtins;
   return q;
+}
+
+Result<std::vector<rel::Binding>> CoordinationRule::JoinParts(
+    const std::vector<const std::set<rel::Tuple>*>& parts) const {
+  rel::Database scratch;
+  rel::ConjunctiveQuery join;
+  for (size_t p = 0; p < body.size(); ++p) {
+    std::vector<std::string> vars = PartExportVars(p);
+    std::string name = "$" + id + ":" + std::to_string(p);
+    P2PDB_RETURN_IF_ERROR(
+        scratch.CreateRelation(rel::RelationSchema(name, vars)));
+    rel::Relation* relation = *scratch.GetMutable(name);
+    for (const rel::Tuple& t : *parts[p]) {
+      if (t.arity() != vars.size()) continue;  // Malformed answer; skip.
+      (void)relation->Insert(t);
+    }
+    rel::Atom atom;
+    atom.relation = name;
+    for (const std::string& v : vars) atom.terms.push_back(rel::Term::Var(v));
+    join.atoms.push_back(std::move(atom));
+  }
+  join.builtins = cross_builtins;
+  return rel::EvaluateBindings(scratch, join);
 }
 
 std::vector<std::string> CoordinationRule::ExistentialVars() const {

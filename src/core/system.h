@@ -3,6 +3,7 @@
 #define P2PDB_CORE_SYSTEM_H_
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,15 @@ struct CoordinationRule {
   /// The conjunctive query a body node evaluates for part `index`: that part's
   /// atoms and built-ins, projecting onto PartExportVars(index).
   rel::ConjunctiveQuery PartQuery(size_t index) const;
+
+  /// The head-side join of per-part answers: one scratch relation per part
+  /// over PartExportVars, an atom over each, the natural join on shared
+  /// variable names, plus cross_builtins. parts[p] holds part p's answers
+  /// (already in this node's vocabulary); tuples of the wrong arity are
+  /// skipped. The bindings cover every exported variable, hence every
+  /// frontier variable of the head, in rel::EvaluateBindings order.
+  Result<std::vector<rel::Binding>> JoinParts(
+      const std::vector<const std::set<rel::Tuple>*>& parts) const;
 
   /// Head variables not bound by any body part (materialized as nulls).
   std::vector<std::string> ExistentialVars() const;

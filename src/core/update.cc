@@ -199,39 +199,26 @@ bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
                                 const std::set<rel::Tuple>& delta) {
   ++stats_.joins_evaluated;
   const CoordinationRule& rule = rr->rule;
-  // Chase apply time = semi-naive join + head application (WAL time is
-  // charged separately inside OnDeltaApplied), on the wall clock. One clock
-  // pair per join is noise next to the join itself, so this is not gated.
-  const obs::Stopwatch chase_timer;
+  // Layer timings on the wall clock: the part join (scratch build plus
+  // evaluation) and the head application (WAL time is charged separately
+  // inside OnDeltaApplied). One clock pair per layer is noise next to the
+  // work itself, so neither is gated.
+  static obs::Histogram* join_hist =
+      obs::Registry::Global().GetHistogram("update.join_micros");
+  static obs::Histogram* chase_hist =
+      obs::Registry::Global().GetHistogram("update.chase_apply_micros");
 
   // Semi-naive join: the delta part contributes only its new tuples, every
-  // other part its full accumulated answers; one scratch relation per part,
-  // an atom over each, natural join on shared variable names, plus the rule's
-  // cross-part built-ins. The resulting bindings cover every exported
-  // variable, which includes all frontier variables of the head.
-  rel::Database scratch;
-  rel::ConjunctiveQuery join;
+  // other part its full accumulated answers.
+  const obs::Stopwatch join_timer;
+  std::vector<const std::set<rel::Tuple>*> parts;
+  parts.reserve(rule.body.size());
   for (size_t p = 0; p < rule.body.size(); ++p) {
-    std::vector<std::string> vars = rule.PartExportVars(p);
-    std::string scratch_name = "$" + rule.id + ":" + std::to_string(p);
-    if (!scratch.CreateRelation(rel::RelationSchema(scratch_name, vars)).ok()) {
-      return false;
-    }
-    rel::Relation* scratch_rel = *scratch.GetMutable(scratch_name);
-    const std::set<rel::Tuple>& tuples =
-        p == delta_part ? delta : rr->part_answers[p];
-    for (const rel::Tuple& t : tuples) {
-      if (t.arity() != vars.size()) continue;  // Malformed answer; skip.
-      (void)scratch_rel->Insert(t);
-    }
-    rel::Atom atom;
-    atom.relation = scratch_name;
-    for (const std::string& v : vars) atom.terms.push_back(rel::Term::Var(v));
-    join.atoms.push_back(std::move(atom));
+    parts.push_back(p == delta_part ? &delta : &rr->part_answers[p]);
   }
-  join.builtins = rule.cross_builtins;
-
-  auto bindings = rel::EvaluateBindings(scratch, join);
+  auto bindings = rule.JoinParts(parts);
+  uint64_t join_micros = join_timer.ElapsedMicros();
+  join_hist->Record(join_micros);
   if (!bindings.ok()) {
     P2PDB_LOG(kWarn) << "rule join failed for " << rule.id << ": "
                      << bindings.status().ToString();
@@ -239,19 +226,16 @@ bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
   }
   // Collect this application's insertions separately so they can be logged
   // to durable storage as one delta, then merge them into the semi-naive feed.
+  const obs::Stopwatch chase_timer;
   std::map<std::string, std::set<rel::Tuple>> applied;
   rel::ChaseStats chase_stats;
   chase_stats.collect_inserted = &applied;
   Status st = rel::ApplyRuleHeadAll(&peer_->db(), rule.head_atoms, *bindings,
                                     &peer_->nulls(), options_.chase,
                                     &chase_stats);
-  {
-    uint64_t micros = chase_timer.ElapsedMicros();
-    static obs::Histogram* chase =
-        obs::Registry::Global().GetHistogram("update.chase_apply_micros");
-    chase->Record(micros);
-    peer_->RecordChaseMicros(micros);
-  }
+  uint64_t chase_micros = chase_timer.ElapsedMicros();
+  chase_hist->Record(chase_micros);
+  peer_->RecordChaseMicros(join_micros + chase_micros);
   // Even a failed application may have inserted tuples for earlier bindings;
   // they are in the database, so they must reach subscribers and the WAL.
   if (chase_stats.inserted > 0) {
@@ -272,6 +256,9 @@ bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
 }
 
 void UpdateEngine::NotifySubscribers() {
+  static obs::Histogram* notify_hist =
+      obs::Registry::Global().GetHistogram("update.notify_micros");
+  const obs::Stopwatch notify_timer;
   bool closed = state_ == State::kClosed;
   std::map<std::string, std::set<rel::Tuple>> db_delta =
       std::move(pending_delta_);
@@ -279,10 +266,11 @@ void UpdateEngine::NotifySubscribers() {
   for (Subscription& sub : subscriptions_) {
     bool flag_changed = closed != sub.announced_closed;
     // Semi-naive: new answers of the subscription query are exactly those
-    // using at least one freshly inserted tuple in at least one atom.
-    std::set<rel::Tuple> new_results;
+    // using at least one freshly inserted tuple in at least one atom. Those
+    // not sent before move straight into the answer.
+    std::set<rel::Tuple> delta;
     bool eval_ok = true;
-    for (size_t i = 0; i < sub.query.atoms.size() && eval_ok; ++i) {
+    for (size_t i = 0; i < sub.query.atoms.size(); ++i) {
       auto it = db_delta.find(sub.query.atoms[i].relation);
       if (it == db_delta.end()) continue;
       auto partial =
@@ -293,13 +281,12 @@ void UpdateEngine::NotifySubscribers() {
         eval_ok = false;
         break;
       }
-      new_results.insert(partial->begin(), partial->end());
+      while (!partial->empty()) {
+        auto node = partial->extract(partial->begin());
+        if (!sub.last_sent.count(node.value())) delta.insert(std::move(node));
+      }
     }
     if (!eval_ok) continue;
-    std::set<rel::Tuple> delta;
-    for (const rel::Tuple& t : new_results) {
-      if (!sub.last_sent.count(t)) delta.insert(t);
-    }
     if (delta.empty() && !flag_changed) continue;
     sub.last_sent.insert(delta.begin(), delta.end());
     wire::QueryAnswer ans;
@@ -310,12 +297,17 @@ void UpdateEngine::NotifySubscribers() {
     ans.source_closed = closed;
     // Full mode retransmits the whole accumulated result (the paper's
     // baseline behaviour); delta mode ships only the new tuples.
-    ans.tuples = options_.delta_answers ? delta : sub.last_sent;
+    if (options_.delta_answers) {
+      ans.tuples = std::move(delta);
+    } else {
+      ans.tuples = sub.last_sent;
+    }
     CountIntraSccSend(sub.subscriber);
     ++stats_.answers_sent;
     peer_->Send(sub.subscriber, net::MessageType::kQueryAnswer, ans.Encode());
     sub.announced_closed = closed;
   }
+  notify_hist->Record(notify_timer.ElapsedMicros());
 }
 
 bool UpdateEngine::ExternallyReady() const {

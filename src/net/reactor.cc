@@ -21,7 +21,7 @@ namespace p2pdb::net {
 
 namespace {
 
-/// Frames batched into one writev call (well under IOV_MAX everywhere).
+/// Frames batched into one gathered send (well under IOV_MAX everywhere).
 constexpr size_t kMaxIovPerWritev = 64;
 
 /// Per-worker read buffer; one recv can carry many coalesced small frames.
@@ -587,7 +587,12 @@ void Reactor::FlushConn(Worker* w, const std::shared_ptr<Connection>& c) {
     // The deque entries referenced by iov are stable outside the lock: other
     // threads only push_back (std::deque never moves existing elements) and
     // only this worker pops.
-    ssize_t n = ::writev(c->fd_, iov, static_cast<int>(niov));
+    // sendmsg rather than writev: MSG_NOSIGNAL turns a write to a peer that
+    // already closed into EPIPE below instead of a process-killing SIGPIPE.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = niov;
+    ssize_t n = ::sendmsg(c->fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {

@@ -8,10 +8,11 @@
 // I/O plus the Handler upcalls (OnRead/OnWritten/OnClose) for it happen on
 // that worker's thread — per-connection state needs no locks. Cross-thread
 // operations go through two narrow channels: Enqueue() pushes onto the
-// connection's mutex-guarded send queue (the worker drains it with writev,
-// batching small frames into one syscall), and control operations (close,
-// register) are posted to the owning worker's task queue and executed there,
-// which also makes fd lifetimes race-free (only the owner ever closes an fd).
+// connection's mutex-guarded send queue (the worker drains it with gathered
+// sendmsg calls, batching small frames into one syscall), and control
+// operations (close, register) are posted to the owning worker's task queue
+// and executed there, which also makes fd lifetimes race-free (only the
+// owner ever closes an fd).
 //
 // Backpressure: the send queue is bounded in bytes. A non-worker sender
 // blocks while the queue is over the limit (a slow receiver slows only its

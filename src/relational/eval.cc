@@ -1,168 +1,299 @@
 #include "src/relational/eval.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace p2pdb::rel {
 
 namespace {
 
-// Counts how many variables of `atom` are bound under `binding`; constants
-// count as bound positions too. Used for greedy join ordering.
-size_t BoundScore(const Atom& atom, const std::set<std::string>& bound) {
-  size_t score = 0;
-  for (const Term& t : atom.terms) {
-    if (!t.is_var() || bound.count(t.var)) ++score;
-  }
-  return score;
-}
+constexpr uint32_t kNoSlot = UINT32_MAX;
 
-// Returns builtins whose variables are all bound.
-bool BuiltinReady(const Builtin& b, const std::set<std::string>& bound) {
-  for (const Term* t : {&b.lhs, &b.rhs}) {
-    if (t->is_var() && !bound.count(t->var)) return false;
-  }
-  return true;
-}
-
-Value ResolveTerm(const Term& t, const Binding& binding) {
-  if (!t.is_var()) return t.constant;
-  auto it = binding.find(t.var);
-  return it->second;
-}
-
-struct EvalContext {
-  const ReadView* db;
-  const ConjunctiveQuery* query;
-  std::vector<const Atom*> order;
-  // builtins_at[i] = builtins that become checkable right after atom order[i].
-  std::vector<std::vector<const Builtin*>> builtins_at;
-  std::vector<Binding> results;
+// Where a run-time value comes from: a constant of the query, or a slot.
+struct Operand {
+  const Value* constant = nullptr;
+  uint32_t slot = kNoSlot;
 };
 
-void Backtrack(EvalContext* ctx, size_t depth, Binding* binding) {
-  if (depth == ctx->order.size()) {
-    ctx->results.push_back(*binding);
-    return;
-  }
-  const Atom& atom = *ctx->order[depth];
-  const RelationView rel = ctx->db->View(atom.relation);
-  if (!rel.exists()) return;  // Missing relation: empty answer.
+// One position of a step's atom: bind its slot to the candidate's value, or
+// check the value against an operand.
+struct PositionOp {
+  uint32_t column = 0;
+  bool bind = false;
+  Operand operand;  // The slot to bind, or the value to check against.
+};
 
-  auto try_tuple = [&](const Tuple& tuple) {
-    Binding extended = *binding;
-    if (!UnifyAtomWithTuple(atom, tuple, &extended)) return;
-    for (const Builtin* b : ctx->builtins_at[depth]) {
-      if (!EvalBuiltin(b->op, ResolveTerm(b->lhs, extended),
-                       ResolveTerm(b->rhs, extended))) {
+struct BuiltinCheck {
+  BuiltinOp op;
+  Operand lhs;
+  Operand rhs;
+};
+
+struct Step {
+  const Atom* atom = nullptr;
+  // Probed through the relation's index on this column with `key`; a full
+  // scan when every position is free (kNoSlot).
+  uint32_t lookup_column = kNoSlot;
+  Operand key;
+  // Every position but the lookup column, which the probe already matched.
+  std::vector<PositionOp> ops;
+  // Built-ins that become decidable once this step has bound its slots.
+  std::vector<BuiltinCheck> checks;
+};
+
+// A conjunctive query compiled for one evaluation call. With a seed atom,
+// that atom is step 0 and is matched against caller-supplied tuples.
+class Plan {
+ public:
+  static constexpr size_t kNoSeed = SIZE_MAX;
+
+  Plan(const ConjunctiveQuery& query, size_t seed_atom) : query_(query) {
+    term_slots_.reserve(query.atoms.size());
+    for (const Atom& atom : query.atoms) {
+      std::vector<uint32_t> slots;
+      slots.reserve(atom.terms.size());
+      for (const Term& t : atom.terms) {
+        slots.push_back(t.is_var() ? SlotOf(t.var, /*add=*/true) : kNoSlot);
+      }
+      term_slots_.push_back(std::move(slots));
+    }
+    // Range restriction (ConjunctiveQuery::CheckSafe): every head and
+    // built-in variable must have a slot from some atom.
+    for (const std::string& v : query.head_vars) {
+      uint32_t slot = SlotOf(v, /*add=*/false);
+      if (slot == kNoSlot) {
+        status_ = Status::Unsupported("unsafe query: head variable " + v +
+                                      " not bound by any atom");
         return;
       }
+      head_slots_.push_back(slot);
     }
-    Backtrack(ctx, depth + 1, &extended);
-  };
-
-  // Index lookup on the first position whose term is already a known value;
-  // fall back to a full scan when every position is free.
-  for (size_t i = 0; i < atom.terms.size(); ++i) {
-    const Term& t = atom.terms[i];
-    if (!t.is_var()) {
-      rel.ForEachMatch(i, t.constant, try_tuple);
-      return;
+    std::vector<const Builtin*> pending_builtins;
+    for (const Builtin& b : query.builtins) {
+      for (const Term* t : {&b.lhs, &b.rhs}) {
+        if (t->is_var() && SlotOf(t->var, /*add=*/false) == kNoSlot) {
+          status_ = Status::Unsupported("unsafe query: built-in variable " +
+                                        t->var + " not bound by any atom");
+          return;
+        }
+      }
+      pending_builtins.push_back(&b);
     }
-    auto it = binding->find(t.var);
-    if (it != binding->end()) {
-      rel.ForEachMatch(i, it->second, try_tuple);
-      return;
+
+    bound_.assign(names_.size(), false);
+    // Moves the pending built-ins that just became decidable into `out`,
+    // keeping their query order.
+    auto attach_ready = [&](std::vector<BuiltinCheck>* out) {
+      auto ready = [&](const Term& t) {
+        return !t.is_var() || bound_[SlotOf(t.var, /*add=*/false)];
+      };
+      std::erase_if(pending_builtins, [&](const Builtin* b) {
+        if (!ready(b->lhs) || !ready(b->rhs)) return false;
+        out->push_back({b->op, OperandOf(b->lhs), OperandOf(b->rhs)});
+        return true;
+      });
+    };
+
+    std::vector<size_t> pending;
+    pending.reserve(query.atoms.size());
+    for (size_t i = 0; i < query.atoms.size(); ++i) {
+      if (i != seed_atom) pending.push_back(i);
     }
-  }
-  rel.ForEach(try_tuple);
-}
+    if (seed_atom != kNoSeed) {
+      AddStep(seed_atom, /*probe=*/false);
+      attach_ready(&steps_.back().checks);
+    } else {
+      attach_ready(&ground_checks_);
+    }
+    // Greedy ordering: repeatedly take the atom with the most bound
+    // positions; std::max_element keeps the first of equally good atoms.
+    while (!pending.empty()) {
+      auto best = std::max_element(
+          pending.begin(), pending.end(),
+          [&](size_t a, size_t b) { return BoundScore(a) < BoundScore(b); });
+      AddStep(*best, /*probe=*/true);
+      pending.erase(best);
+      attach_ready(&steps_.back().checks);
+    }
 
-// Evaluates `query` with `skip_atom` removed (SIZE_MAX = none) and an
-// optional seed binding whose variables count as already bound.
-Result<std::vector<Binding>> EvaluateSeeded(const ReadView& db,
-                                            const ConjunctiveQuery& query,
-                                            size_t skip_atom,
-                                            const Binding* seed) {
-  EvalContext ctx;
-  ctx.db = &db;
-  ctx.query = &query;
+    named_slots_.reserve(names_.size());
+    for (uint32_t s = 0; s < names_.size(); ++s) {
+      named_slots_.emplace_back(names_[s], s);
+    }
+    std::sort(named_slots_.begin(), named_slots_.end(),
+              [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  }
 
-  // Greedy ordering: repeatedly pick the atom with the most bound positions.
-  std::vector<const Atom*> pending;
-  pending.reserve(query.atoms.size());
-  for (size_t i = 0; i < query.atoms.size(); ++i) {
-    if (i != skip_atom) pending.push_back(&query.atoms[i]);
+  const Status& status() const { return status_; }
+  size_t slot_count() const { return names_.size(); }
+  const std::vector<Step>& steps() const { return steps_; }
+  const std::vector<BuiltinCheck>& ground_checks() const {
+    return ground_checks_;
   }
-  std::set<std::string> bound;
-  if (seed != nullptr) {
-    for (const auto& [name, value] : *seed) bound.insert(name);
+
+  Tuple HeadTuple(const std::vector<const Value*>& slots) const {
+    std::vector<Value> row;
+    row.reserve(head_slots_.size());
+    for (uint32_t s : head_slots_) row.push_back(*slots[s]);
+    return Tuple(std::move(row));
   }
-  std::vector<const Builtin*> pending_builtins;
-  for (const Builtin& b : query.builtins) pending_builtins.push_back(&b);
-  // Builtins already decidable from the seed alone are checked up front.
-  std::vector<const Builtin*> immediate;
-  {
-    auto it = pending_builtins.begin();
-    while (it != pending_builtins.end()) {
-      if (BuiltinReady(**it, bound)) {
-        immediate.push_back(*it);
-        it = pending_builtins.erase(it);
-      } else {
-        ++it;
+
+  Binding MakeBinding(const std::vector<const Value*>& slots) const {
+    Binding binding;
+    for (const auto& [name, slot] : named_slots_) {
+      binding.emplace_hint(binding.end(), *name, *slots[slot]);
+    }
+    return binding;
+  }
+
+ private:
+  uint32_t SlotOf(const std::string& var, bool add) {
+    for (uint32_t s = 0; s < names_.size(); ++s) {
+      if (*names_[s] == var) return s;
+    }
+    if (!add) return kNoSlot;
+    names_.push_back(&var);
+    return static_cast<uint32_t>(names_.size() - 1);
+  }
+
+  Operand OperandOf(const Term& t) {
+    if (!t.is_var()) return Operand{&t.constant, kNoSlot};
+    return Operand{nullptr, SlotOf(t.var, /*add=*/false)};
+  }
+
+  // Positions of atom `a` that are constants or already-bound variables.
+  size_t BoundScore(size_t a) const {
+    size_t score = 0;
+    for (uint32_t slot : term_slots_[a]) {
+      if (slot == kNoSlot || bound_[slot]) ++score;
+    }
+    return score;
+  }
+
+  // Appends the step for atom `a`. A probing step looks its candidates up
+  // by its first constant or already-bound position; the seed step scans
+  // the caller's tuples and checks every position.
+  void AddStep(size_t a, bool probe) {
+    const Atom& atom = query_.atoms[a];
+    const std::vector<uint32_t>& slots = term_slots_[a];
+    Step step;
+    step.atom = &atom;
+    // The lookup column is decided on what was bound before this step.
+    for (uint32_t i = 0; probe && i < slots.size(); ++i) {
+      if (slots[i] == kNoSlot || bound_[slots[i]]) {
+        step.lookup_column = i;
+        step.key = OperandOf(atom.terms[i]);
+        break;
       }
     }
+    for (uint32_t i = 0; i < slots.size(); ++i) {
+      if (i == step.lookup_column) continue;
+      PositionOp op;
+      op.column = i;
+      op.operand = OperandOf(atom.terms[i]);
+      if (slots[i] != kNoSlot && !bound_[slots[i]]) {
+        op.bind = true;  // First occurrence; later ones check this slot.
+        bound_[slots[i]] = true;
+      }
+      step.ops.push_back(op);
+    }
+    steps_.push_back(std::move(step));
   }
 
-  while (!pending.empty()) {
-    auto best = std::max_element(
-        pending.begin(), pending.end(), [&](const Atom* a, const Atom* b) {
-          return BoundScore(*a, bound) < BoundScore(*b, bound);
-        });
-    const Atom* chosen = *best;
-    pending.erase(best);
-    ctx.order.push_back(chosen);
-    for (const std::string& v : chosen->Variables()) bound.insert(v);
-    // Attach builtins that just became fully bound.
-    std::vector<const Builtin*> now;
-    auto it = pending_builtins.begin();
-    while (it != pending_builtins.end()) {
-      if (BuiltinReady(**it, bound)) {
-        now.push_back(*it);
-        it = pending_builtins.erase(it);
-      } else {
-        ++it;
+  const ConjunctiveQuery& query_;
+  Status status_ = Status::OK();
+  std::vector<const std::string*> names_;  // Slot -> variable name.
+  std::vector<std::vector<uint32_t>> term_slots_;  // Per atom, per position.
+  std::vector<bool> bound_;  // Compile-time: slots bound by earlier steps.
+  std::vector<Step> steps_;
+  std::vector<BuiltinCheck> ground_checks_;  // Decidable before any step.
+  std::vector<uint32_t> head_slots_;
+  std::vector<std::pair<const std::string*, uint32_t>> named_slots_;
+};
+
+// One run of a plan: the relations its steps read and the slot binding.
+// emit(plan, slots) is called at every complete match, in depth-first order.
+template <typename Emit>
+class Run {
+ public:
+  Run(const Plan& plan, Emit& emit)
+      : plan_(plan), emit_(emit), slots_(plan.slot_count(), nullptr) {}
+
+  // Runs the plan over `db`; with `seed`, step 0 scans those tuples instead.
+  void Execute(const ReadView& db, const std::set<Tuple>* seed) {
+    for (const BuiltinCheck& c : plan_.ground_checks()) {
+      if (!EvalBuiltin(c.op, Resolve(c.lhs), Resolve(c.rhs))) return;
+    }
+    const std::vector<Step>& steps = plan_.steps();
+    views_.reserve(steps.size());
+    for (size_t d = 0; d < steps.size(); ++d) {
+      if (d == 0 && seed != nullptr) {
+        views_.emplace_back();
+        continue;
+      }
+      views_.push_back(db.View(steps[d].atom->relation));
+      if (!views_.back().exists()) return;  // Missing relation: empty answer.
+    }
+    if (seed == nullptr) {
+      Descend(0);
+      return;
+    }
+    for (const Tuple& t : *seed) {
+      if (Match(steps[0], t)) Descend(1);
+    }
+  }
+
+ private:
+  const Value& Resolve(const Operand& o) const {
+    return o.constant != nullptr ? *o.constant : *slots_[o.slot];
+  }
+
+  bool Match(const Step& step, const Tuple& tuple) {
+    if (tuple.arity() != step.atom->terms.size()) return false;
+    for (const PositionOp& op : step.ops) {
+      const Value& v = tuple.at(op.column);
+      if (op.bind) {
+        slots_[op.operand.slot] = &v;
+      } else if (!(Resolve(op.operand) == v)) {
+        return false;
       }
     }
-    ctx.builtins_at.push_back(std::move(now));
-  }
-  if (!pending_builtins.empty()) {
-    return Status::Unsupported("built-in over unbound variables: " +
-                               pending_builtins.front()->ToString());
+    for (const BuiltinCheck& c : step.checks) {
+      if (!EvalBuiltin(c.op, Resolve(c.lhs), Resolve(c.rhs))) return false;
+    }
+    return true;
   }
 
-  // Check seed-decidable builtins before any scanning.
-  Binding binding = seed != nullptr ? *seed : Binding{};
-  auto resolve = [&](const Term& t) {
-    return t.is_var() ? binding.at(t.var) : t.constant;
-  };
-  for (const Builtin* b : immediate) {
-    if (!EvalBuiltin(b->op, resolve(b->lhs), resolve(b->rhs))) {
-      return ctx.results;  // Seed contradicts a builtin: empty.
+  void Descend(size_t depth) {
+    const std::vector<Step>& steps = plan_.steps();
+    if (depth == steps.size()) {
+      emit_(plan_, slots_);
+      return;
+    }
+    const Step& step = steps[depth];
+    auto visit = [&](const Tuple& tuple) {
+      if (Match(step, tuple)) Descend(depth + 1);
+    };
+    if (step.lookup_column == kNoSlot) {
+      views_[depth].ForEach(visit);
+    } else {
+      views_[depth].ForEachMatch(step.lookup_column, Resolve(step.key), visit);
     }
   }
 
-  if (ctx.order.empty()) {
-    ctx.results.push_back(binding);
-    return ctx.results;
-  }
-  Backtrack(&ctx, 0, &binding);
-  return ctx.results;
-}
+  const Plan& plan_;
+  Emit& emit_;
+  std::vector<const Value*> slots_;
+  std::vector<RelationView> views_;
+};
 
-Result<std::vector<Binding>> EvaluateImpl(const ReadView& db,
-                                          const ConjunctiveQuery& query) {
-  P2PDB_RETURN_IF_ERROR(query.CheckSafe());
-  return EvaluateSeeded(db, query, /*skip_atom=*/SIZE_MAX, /*seed=*/nullptr);
+template <typename Emit>
+Status RunPlan(const ReadView& db, const ConjunctiveQuery& query,
+               size_t seed_atom, const std::set<Tuple>* seed, Emit emit) {
+  Plan plan(query, seed_atom);
+  if (!plan.status().ok()) return plan.status();
+  Run<Emit>(plan, emit).Execute(db, seed);
+  return Status::OK();
 }
 
 }  // namespace
@@ -196,23 +327,24 @@ bool UnifyAtomWithTuple(const Atom& atom, const Tuple& tuple,
 
 Result<std::set<Tuple>> EvaluateQuery(const ReadView& db,
                                       const ConjunctiveQuery& query) {
-  auto bindings = EvaluateImpl(db, query);
-  if (!bindings.ok()) return bindings.status();
   std::set<Tuple> out;
-  for (const Binding& b : *bindings) {
-    std::vector<Value> row;
-    row.reserve(query.head_vars.size());
-    for (const std::string& v : query.head_vars) {
-      row.push_back(b.at(v));
-    }
-    out.insert(Tuple(std::move(row)));
-  }
+  P2PDB_RETURN_IF_ERROR(RunPlan(
+      db, query, Plan::kNoSeed, nullptr,
+      [&](const Plan& plan, const std::vector<const Value*>& slots) {
+        out.insert(plan.HeadTuple(slots));
+      }));
   return out;
 }
 
 Result<std::vector<Binding>> EvaluateBindings(const ReadView& db,
                                               const ConjunctiveQuery& query) {
-  return EvaluateImpl(db, query);
+  std::vector<Binding> out;
+  P2PDB_RETURN_IF_ERROR(RunPlan(
+      db, query, Plan::kNoSeed, nullptr,
+      [&](const Plan& plan, const std::vector<const Value*>& slots) {
+        out.push_back(plan.MakeBinding(slots));
+      }));
+  return out;
 }
 
 Result<std::set<Tuple>> EvaluateQueryDelta(const ReadView& db,
@@ -222,29 +354,12 @@ Result<std::set<Tuple>> EvaluateQueryDelta(const ReadView& db,
   if (delta_atom >= query.atoms.size()) {
     return Status::InvalidArgument("delta_atom out of range");
   }
-  P2PDB_RETURN_IF_ERROR(query.CheckSafe());
   std::set<Tuple> out;
-  const Atom& atom = query.atoms[delta_atom];
-  for (const Tuple& t : delta) {
-    Binding seed;
-    if (!UnifyAtomWithTuple(atom, t, &seed)) continue;
-    auto bindings = EvaluateSeeded(db, query, delta_atom, &seed);
-    if (!bindings.ok()) return bindings.status();
-    for (const Binding& b : *bindings) {
-      std::vector<Value> row;
-      row.reserve(query.head_vars.size());
-      bool complete = true;
-      for (const std::string& v : query.head_vars) {
-        auto it = b.find(v);
-        if (it == b.end()) {
-          complete = false;
-          break;
-        }
-        row.push_back(it->second);
-      }
-      if (complete) out.insert(Tuple(std::move(row)));
-    }
-  }
+  P2PDB_RETURN_IF_ERROR(RunPlan(
+      db, query, delta_atom, &delta,
+      [&](const Plan& plan, const std::vector<const Value*>& slots) {
+        out.insert(plan.HeadTuple(slots));
+      }));
   return out;
 }
 

@@ -1,5 +1,28 @@
 // Conjunctive query evaluation over any ReadView (a live database or an
 // immutable MVCC snapshot).
+//
+// Every entry point compiles the query once per call into a slot plan, then
+// runs that plan:
+//   - Slots: each variable gets a dense slot number. The run-time binding is
+//     a vector of pointers, one per slot, into the tuples being joined (live
+//     relations are not mutated during an evaluation, and row-log rows never
+//     move), so matching a candidate tuple copies no value.
+//   - Steps: atoms are ordered greedily, most-bound first (constants count as
+//     bound; ties go to the earliest atom). Each step knows at compile time
+//     its lookup column (the first constant or already-bound position, probed
+//     through the relation's index; a full scan when every position is free),
+//     which positions bind a slot and which check one against a slot or a
+//     constant, and which built-ins become decidable after it.
+//   - Relations are resolved once per step per call; nothing is cached across
+//     calls (snapshot readers run on many threads, and a recovered peer
+//     replaces its database).
+//
+// Order guarantee: EvaluateBindings returns bindings in depth-first order of
+// the greedy step sequence, each step visiting candidates in the relation's
+// own order (its index order for a lookup, its scan order otherwise). The
+// order-dependent projection-check chase consumes that sequence, in the
+// distributed update and in the centralized oracle alike, so it is part of
+// the contract: tests/eval_property_test.cc pins it.
 #ifndef P2PDB_RELATIONAL_EVAL_H_
 #define P2PDB_RELATIONAL_EVAL_H_
 
@@ -13,16 +36,14 @@
 namespace p2pdb::rel {
 
 /// Evaluates the query body and returns the projection onto head_vars as a
-/// sorted, duplicate-free set of tuples (set semantics).
-///
-/// Strategy: greedy atom reordering (most-bound atom first) with backtracking
-/// unification; built-ins are applied as soon as both sides are bound. This is
-/// adequate for the paper's workloads (~10^3 tuples per node).
+/// sorted, duplicate-free set of tuples (set semantics). Fails on an unsafe
+/// query (see ConjunctiveQuery::CheckSafe).
 Result<std::set<Tuple>> EvaluateQuery(const ReadView& db,
                                       const ConjunctiveQuery& query);
 
-/// Like EvaluateQuery but returns the full bindings (one per result), used by
-/// the chase when applying rule heads that need body variable values.
+/// Like EvaluateQuery but returns the full bindings (one per result, in the
+/// order guaranteed above), used by the chase when applying rule heads that
+/// need body variable values.
 Result<std::vector<Binding>> EvaluateBindings(const ReadView& db,
                                               const ConjunctiveQuery& query);
 
@@ -31,6 +52,7 @@ Result<std::vector<Binding>> EvaluateBindings(const ReadView& db,
 /// query.atoms). The delta atom is matched against `delta` only; the other
 /// atoms read the (already updated) database. Union over all atom occurrences
 /// of a changed relation yields the exact new answers of a monotone update.
+/// One plan serves the whole delta set.
 Result<std::set<Tuple>> EvaluateQueryDelta(const ReadView& db,
                                            const ConjunctiveQuery& query,
                                            size_t delta_atom,

@@ -3,12 +3,14 @@
 // receivers) is exercised directly. Covers send-queue backpressure isolation
 // (a slow reader wedges only its own senders), writev batching correctness
 // across frame boundaries, exactly-once frame accounting through a mid-write
-// teardown, and a many-peer TcpRuntime fixpoint smoke.
+// teardown, a write to an already-closed peer (EPIPE, never SIGPIPE), and a
+// many-peer TcpRuntime fixpoint smoke.
 #include "src/net/reactor.h"
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -178,7 +180,13 @@ TEST(ReactorTest, BackpressureIsolatesSlowReceiver) {
     ASSERT_TRUE(fast_conn->Enqueue(std::vector<uint8_t>(chunk)));
   }
   EXPECT_TRUE(WaitUntil([&] { return fast_received.load() >= 50 * 1024; }));
-  EXPECT_FALSE(sender_done.load());  // 4 MB cannot fit in ~72 KB of buffers.
+  // The sender parks once its queue reaches the limit: 4 MB cannot fit in
+  // ~72 KB of buffers. Waiting for that (instead of assuming a loaded host
+  // got the sender there already) keeps the drop check below meaningful.
+  EXPECT_TRUE(WaitUntil([&] {
+    return slow_conn->queued_bytes() >= options.send_queue_limit;
+  }));
+  EXPECT_FALSE(sender_done.load());
 
   // Closing the slow connection unblocks the parked sender.
   slow_conn->RequestClose();
@@ -305,6 +313,94 @@ TEST(ReactorTest, ConnectRefusedDropsQueuedFrames) {
   EXPECT_EQ(handler.dropped(9), accepted ? 1u : 0u);
   std::vector<uint8_t> late = {4, 5, 6};
   EXPECT_FALSE(conn->Enqueue(std::move(late)));  // Closed connection refuses.
+  reactor.Stop();
+}
+
+/// Queues frames on `target` from inside a reactor upcall: the first read on
+/// the trigger connection parks the (only) worker until the test releases
+/// it, then enqueues. The worker flushes them before it looks at any other
+/// event, so the writes meet whatever the target's peer did meanwhile.
+class EnqueueOnReadHandler : public RecordingHandler {
+ public:
+  static constexpr uint64_t kTrigger = 99;
+
+  bool OnRead(Connection* conn, const uint8_t* data, size_t size) override {
+    if (conn->token() == kTrigger && !entered_.exchange(true)) {
+      while (!release_.load()) std::this_thread::sleep_for(1ms);
+      for (size_t i = 0; i < frames_; ++i) {
+        if (target_->Enqueue(std::vector<uint8_t>(64, 0x5a))) {
+          accepted_.fetch_add(1);
+        }
+      }
+    }
+    return RecordingHandler::OnRead(conn, data, size);
+  }
+
+  bool entered() const { return entered_.load(); }
+  /// Lets the parked worker enqueue `frames` frames on `target`.
+  void Release(std::shared_ptr<Connection> target, size_t frames) {
+    target_ = std::move(target);
+    frames_ = frames;
+    release_.store(true);
+  }
+  size_t accepted() const { return accepted_.load(); }
+
+ private:
+  std::atomic<bool> entered_{false};
+  std::atomic<bool> release_{false};
+  std::shared_ptr<Connection> target_;  // Read only after release_.
+  size_t frames_ = 0;
+  std::atomic<size_t> accepted_{0};
+};
+
+TEST(ReactorTest, WriteToClosedPeerDropsFramesWithoutSigpipe) {
+  // Nothing may mask the failure: SIGPIPE keeps its default action, which
+  // kills the process.
+  struct sigaction current {};
+  ASSERT_EQ(::sigaction(SIGPIPE, nullptr, &current), 0);
+  ASSERT_EQ(current.sa_handler, SIG_DFL);
+
+  EnqueueOnReadHandler handler;
+  Reactor::Options options;
+  options.workers = 1;
+  Reactor reactor(options, &handler);
+
+  RawListener sink = RawListener::Open();
+  RawListener trigger = RawListener::Open();
+  auto target = reactor.Connect("127.0.0.1", sink.port, /*token=*/1);
+  auto trigger_conn = reactor.Connect("127.0.0.1", trigger.port,
+                                      EnqueueOnReadHandler::kTrigger);
+  int sink_fd = sink.Accept();
+  int trigger_fd = trigger.Accept();
+  ASSERT_GE(sink_fd, 0);
+  ASSERT_GE(trigger_fd, 0);
+  // One frame through proves the target connection is open and idle.
+  ASSERT_TRUE(target->Enqueue({1, 2, 3}));
+  ASSERT_TRUE(WaitUntil([&] { return handler.written(1) == 1; }));
+  // Read it, so the close below is a clean FIN (closing over unread bytes
+  // would send a reset, which the next write reports as ECONNRESET instead).
+  uint8_t first[3];
+  ASSERT_EQ(::recv(sink_fd, first, sizeof(first), MSG_WAITALL), 3);
+
+  // Park the worker in an upcall, then close the target's remote end: the
+  // worker cannot see the FIN before it flushes. Its first write draws a
+  // reset from the closed end, and the next one fails with EPIPE, which
+  // raises SIGPIPE unless the send suppresses it.
+  const uint8_t byte = 7;
+  ASSERT_EQ(::send(trigger_fd, &byte, 1, 0), 1);
+  ASSERT_TRUE(WaitUntil([&] { return handler.entered(); }));
+  ::close(sink_fd);
+  std::this_thread::sleep_for(20ms);
+  constexpr size_t kFrames = 256;  // Four full sendmsg batches.
+  handler.Release(target, kFrames);
+
+  ASSERT_TRUE(WaitUntil([&] { return target->closed(); }));
+  ASSERT_TRUE(WaitUntil(
+      [&] { return handler.written(1) + handler.dropped(1) == 1 + kFrames; }));
+  EXPECT_EQ(handler.accepted(), kFrames);
+  EXPECT_GT(handler.dropped(1), 0u);
+
+  ::close(trigger_fd);
   reactor.Stop();
 }
 
