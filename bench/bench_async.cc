@@ -6,57 +6,61 @@
 // We model synchrony with a uniform zero-jitter latency (all messages of a
 // wave arrive together, so each node recomputes once per round) and
 // asynchrony with heavy jitter (answers trickle in; every arrival can trigger
-// a recomputation and a fresh delta).
-#include <cstdio>
+// a recomputation and a fresh delta). Jitter lets early answers start
+// downstream work sooner, but staggered arrivals produce more (smaller)
+// incremental answers — the paper's time-for-messages trade-off.
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
+#include "src/net/sim_runtime.h"
 
-using namespace p2pdb;        // NOLINT
-using namespace p2pdb::bench;  // NOLINT
+namespace p2pdb::bench {
+namespace {
 
-int main() {
-  const size_t records = FullScale() ? 300 : 100;
-
-  PrintHeader("A2 async vs sync messaging (ring topology, cyclic)");
-  std::printf("%-22s %10s %12s %10s %12s\n", "latency model", "sim-ms",
-              "messages", "kbytes", "answers");
+Result<std::vector<Row>> Async() {
+  workload::ScenarioOptions options;
+  options.topology.kind = workload::TopologySpec::Kind::kRing;
+  options.topology.nodes = 7;
+  options.records_per_node = FullScale() ? 300 : 100;
+  P2PDB_ASSIGN_OR_RETURN(core::P2PSystem system,
+                         workload::BuildScenario(options));
 
   struct Model {
     const char* name;
     uint64_t base;
     uint64_t jitter;
   };
-  for (const Model& model :
-       {Model{"sync (1ms, no jitter)", 1000, 0},
-        Model{"mild async (±0.5ms)", 1000, 500},
-        Model{"heavy async (±5ms)", 1000, 5000}}) {
-    workload::ScenarioOptions options;
-    options.topology.kind = workload::TopologySpec::Kind::kRing;
-    options.topology.nodes = 7;
-    options.records_per_node = records;
-
-    auto system = workload::BuildScenario(options);
-    if (!system.ok()) continue;
+  std::vector<Row> rows;
+  for (const Model& model : {Model{"sync", 1000, 0}, Model{"mild", 1000, 500},
+                             Model{"heavy", 1000, 5000}}) {
     net::SimRuntime rt(net::SimRuntime::Options{.seed = 7,
                                                 .max_events = 500'000'000});
     rt.pipes().set_default_latency(
         net::LatencyModel{model.base, model.jitter});
-    core::Session session(*system, &rt);
-    if (!session.RunDiscovery().ok()) continue;
+    core::Session session(system, &rt);
+    P2PDB_RETURN_IF_ERROR(session.RunDiscovery());
     rt.stats().Reset();
     uint64_t t0 = rt.NowMicros();
-    if (!session.RunUpdate().ok()) continue;
-    std::printf("%-22s %10.1f %12llu %10llu %12llu\n", model.name,
-                static_cast<double>(rt.NowMicros() - t0) / 1000.0,
-                static_cast<unsigned long long>(rt.stats().total_messages()),
-                static_cast<unsigned long long>(rt.stats().total_bytes() /
-                                                1024),
-                static_cast<unsigned long long>(rt.stats().MessagesOfType(
-                    net::MessageType::kQueryAnswer)));
+    P2PDB_RETURN_IF_ERROR(session.RunUpdate());
+    rows.push_back(Row{
+        std::string("a2_async_") + model.name,
+        {{"latency_us", static_cast<double>(model.base)},
+         {"jitter_us", static_cast<double>(model.jitter)},
+         {"sim_ms", static_cast<double>(rt.NowMicros() - t0) / 1000.0},
+         {"messages", static_cast<double>(rt.stats().total_messages())},
+         {"bytes", static_cast<double>(rt.stats().total_bytes())},
+         {"answers", static_cast<double>(rt.stats().MessagesOfType(
+                         net::MessageType::kQueryAnswer))}}});
   }
-  std::printf(
-      "\nshape: jitter lets early answers start downstream work sooner, but\n"
-      "staggered arrivals produce more (smaller) incremental answers — the\n"
-      "paper's time-for-messages trade-off.\n");
-  return 0;
+  return rows;
 }
+
+}  // namespace
+
+std::vector<Case> AsyncCases() {
+  return {
+      Case{"paper", "a2_async", [](const RunArgs&) { return Async(); }}};
+}
+
+}  // namespace p2pdb::bench

@@ -2,23 +2,30 @@
 // projection check vs the standard restricted-chase homomorphism check.
 // Includes the order-dependence demonstration behind finding F1 in
 // EXPERIMENTS.md: under the projection policy, an unlinked pub/wrote pair can
-// suppress the linked witness a later derivation needs.
-#include <cstdio>
+// suppress the linked witness a later derivation needs. That row's
+// linked_witness = 0 is the expected finding, not a failure: with prior
+// unlinked facts the projection policy skips both head atoms and never
+// creates a linked pub-wrote witness, so downstream joins lose answers; the
+// homomorphism policy always leaves one. This makes the paper's A6
+// completeness claim order-sensitive.
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/relational/chase.h"
 #include "src/relational/eval.h"
 
-using namespace p2pdb;        // NOLINT
-using namespace p2pdb::bench;  // NOLINT
-
+namespace p2pdb::bench {
 namespace {
 
-void PolicySweep() {
-  PrintHeader("A5 chase policy: materialization and cost");
-  std::printf("%-12s %-14s %10s %10s %10s %10s\n", "topology", "policy",
-              "wall-ms", "inserted", "sim-ms", "closed");
+const char* PolicyName(rel::ChasePolicy policy) {
+  return policy == rel::ChasePolicy::kProjectionCheck ? "projection"
+                                                      : "homomorphism";
+}
+
+Result<std::vector<Row>> PolicySweep() {
   using Kind = workload::TopologySpec::Kind;
+  std::vector<Row> rows;
   for (Kind kind : {Kind::kTree, Kind::kClique}) {
     for (rel::ChasePolicy policy : {rel::ChasePolicy::kProjectionCheck,
                                     rel::ChasePolicy::kHomomorphismCheck}) {
@@ -29,21 +36,19 @@ void PolicySweep() {
           FullScale() ? 250 : (kind == Kind::kClique ? 40 : 120);
       core::Session::Options session_options;
       session_options.peer.update.chase.policy = policy;
-      RunMetrics m = RunScenario(options, session_options);
-      std::printf("%-12s %-14s %10.1f %10llu %10.1f %10s\n",
-                  workload::TopologyKindName(kind),
-                  policy == rel::ChasePolicy::kProjectionCheck
-                      ? "projection"
-                      : "homomorphism",
-                  m.wall_ms, static_cast<unsigned long long>(m.inserted),
-                  m.sim_ms, m.all_closed ? "yes" : "NO");
+      P2PDB_ASSIGN_OR_RETURN(RunMetrics m,
+                             RunScenario(options, session_options));
+      rows.push_back(ScenarioRow(std::string("a5_chase_") +
+                                     workload::TopologyKindName(kind) + "_" +
+                                     PolicyName(policy),
+                                 m));
     }
   }
+  return rows;
 }
 
 // Finding F1: the paper's A6 projection check is evaluation-order dependent.
-void OrderDependenceDemo() {
-  PrintHeader("A5b finding F1: A6 projection check is order dependent");
+Result<std::vector<Row>> OrderDependenceDemo() {
   // Database with pub/wrote; rule head pub(I,T,Y) ∧ wrote(A,I), I,Y
   // existential, applied for (T=t1, A=alice).
   auto build = [](bool pre_populate_unlinked) {
@@ -69,6 +74,7 @@ void OrderDependenceDemo() {
   rel::Binding binding{{"T", rel::Value::Str("t1")},
                        {"A", rel::Value::Str("alice")}};
 
+  std::vector<Row> rows;
   for (bool pre : {false, true}) {
     for (rel::ChasePolicy policy : {rel::ChasePolicy::kProjectionCheck,
                                     rel::ChasePolicy::kHomomorphismCheck}) {
@@ -87,27 +93,24 @@ void OrderDependenceDemo() {
       w2.terms[0] = rel::Term::Const(rel::Value::Str("alice"));
       probe.atoms = {p2, w2};
       auto linked = rel::EvaluateQuery(db, probe);
-      std::printf("  prior unlinked facts: %-3s policy: %-14s inserted: %zu "
-                  "linked witness: %s\n",
-                  pre ? "yes" : "no",
-                  policy == rel::ChasePolicy::kProjectionCheck
-                      ? "projection"
-                      : "homomorphism",
-                  stats.inserted,
-                  linked.ok() && !linked->empty() ? "yes" : "NO");
+      rows.push_back(
+          Row{std::string("a5b_f1_") + (pre ? "prior_unlinked_" : "empty_") +
+                  PolicyName(policy),
+              {{"inserted", static_cast<double>(stats.inserted)},
+               {"linked_witness",
+                linked.ok() && !linked->empty() ? 1.0 : 0.0}}});
     }
   }
-  std::printf(
-      "\nreading: with prior unlinked facts the projection policy skips both\n"
-      "head atoms and never creates a linked pub-wrote witness, so downstream\n"
-      "joins lose answers; the homomorphism policy always leaves a linked\n"
-      "witness. This makes the paper's A6 completeness claim order-sensitive.\n");
+  return rows;
 }
 
 }  // namespace
 
-int main() {
-  PolicySweep();
-  OrderDependenceDemo();
-  return 0;
+std::vector<Case> ChaseCases() {
+  return {Case{"paper", "a5_chase",
+               [](const RunArgs&) { return PolicySweep(); }},
+          Case{"paper", "a5b_f1_order_dependence",
+               [](const RunArgs&) { return OrderDependenceDemo(); }}};
 }
+
+}  // namespace p2pdb::bench

@@ -1,32 +1,71 @@
-// Shared helpers for the experiment benches: run a scenario end to end on the
-// deterministic runtime and collect the metrics the paper's statistics module
-// reported (execution time, message counts, bytes on pipes, tuples moved).
+// The bench harness shared by every suite in bench_main: a row/case registry
+// (each bench/*.cc exports its cases), plus the helpers the experiments share
+// — run a scenario end to end on the deterministic runtime and collect the
+// metrics the paper's statistics module reported (execution time, message
+// counts, bytes on pipes, tuples moved).
 #ifndef P2PDB_BENCH_BENCH_COMMON_H_
 #define P2PDB_BENCH_BENCH_COMMON_H_
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "src/core/global_fixpoint.h"
 #include "src/core/session.h"
-#include "src/net/sim_runtime.h"
+#include "src/util/status.h"
 #include "src/workload/scenario.h"
 
 namespace p2pdb::bench {
 
-struct RunMetrics {
-  double sim_ms = 0;        ///< Simulated network time to quiescence.
-  double wall_ms = 0;       ///< Host wall-clock time.
-  uint64_t messages = 0;    ///< Total protocol messages.
-  uint64_t bytes = 0;       ///< Total bytes on pipes.
-  uint64_t query_answers = 0;
-  uint64_t inserted = 0;    ///< Tuples materialized across all nodes.
-  uint64_t token_passes = 0;
-  bool all_closed = false;
-  size_t depth = 0;
+/// One emitted bench row: a name plus its metrics in emission order.
+struct Row {
+  std::string name;
+  std::vector<std::pair<std::string, double>> metrics;
+
+  /// The named metric, or 0 when the row does not carry it.
+  double Metric(const std::string& key) const {
+    for (const auto& [k, v] : metrics) {
+      if (k == key) return v;
+    }
+    return 0;
+  }
 };
+
+struct RunArgs {
+  int repeat = 2;
+  /// Where a case with a traced run dumps its observability snapshot; empty
+  /// for none.
+  std::string obs_path;
+};
+
+/// A registered bench case. `run` applies its suite's best-of-repeat rule
+/// itself and returns the rows to emit; an error fails the whole run.
+struct Case {
+  std::string suite;
+  std::string name;
+  std::function<Result<std::vector<Row>>(const RunArgs&)> run;
+};
+
+// The suites. Each bench/*.cc defines one of these.
+std::vector<Case> UpdateCases();
+std::vector<Case> RecoveryCases();
+std::vector<Case> TcpCases();
+std::vector<Case> QueryCases();
+// The paper's Section-5 experiments (suite "paper").
+std::vector<Case> ExamplePathsCases();  // E1
+std::vector<Case> Fig1TraceCases();     // E2
+std::vector<Case> ScalabilityCases();   // E3
+std::vector<Case> DistributionCases();  // E4
+std::vector<Case> DepthCases();         // E5
+std::vector<Case> DeltaCases();         // A1
+std::vector<Case> AsyncCases();         // A2
+std::vector<Case> DiscoveryCases();     // A3
+std::vector<Case> DynamicsCases();      // A4
+std::vector<Case> ChaseCases();         // A5
+std::vector<Case> PartialCases();       // A6
+std::vector<Case> BaselinesCases();     // B1
 
 /// Set P2PDB_BENCH_FULL=1 to run paper-scale record counts everywhere
 /// (cliques are cubic in data volume; the default trims them for CI).
@@ -35,50 +74,40 @@ inline bool FullScale() {
   return env != nullptr && env[0] == '1';
 }
 
-inline RunMetrics RunScenario(const workload::ScenarioOptions& options,
-                              core::Session::Options session_options = {},
-                              uint64_t sim_seed = 42) {
-  RunMetrics metrics;
-  auto edges = workload::GenerateTopology(options.topology);
-  if (edges.ok()) metrics.depth = workload::TopologyDepth(*edges);
+using Clock = std::chrono::steady_clock;
 
-  auto system = workload::BuildScenario(options);
-  if (!system.ok()) {
-    std::fprintf(stderr, "scenario build failed: %s\n",
-                 system.status().ToString().c_str());
-    return metrics;
-  }
-  net::SimRuntime rt(net::SimRuntime::Options{.seed = sim_seed,
-                                              .max_events = 500'000'000});
-  core::Session session(*system, &rt, session_options);
-
-  auto start = std::chrono::steady_clock::now();
-  if (!session.RunDiscovery().ok()) return metrics;
-  rt.stats().Reset();  // Report the update phase, as the paper does.
-  uint64_t t0 = rt.NowMicros();
-  if (!session.RunUpdate().ok()) return metrics;
-  auto end = std::chrono::steady_clock::now();
-
-  metrics.sim_ms = static_cast<double>(rt.NowMicros() - t0) / 1000.0;
-  metrics.wall_ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
-  metrics.messages = rt.stats().total_messages();
-  metrics.bytes = rt.stats().total_bytes();
-  metrics.query_answers =
-      rt.stats().MessagesOfType(net::MessageType::kQueryAnswer);
-  metrics.all_closed = session.AllClosed();
-  for (size_t n = 0; n < session.peer_count(); ++n) {
-    metrics.inserted += session.peer(n).update().stats().tuples_inserted;
-    metrics.token_passes += session.peer(n).update().stats().token_passes;
-  }
-  return metrics;
+inline double MsSince(Clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
+      .count();
 }
 
-inline void PrintHeader(const char* title) {
-  // Line-buffer stdout even when redirected, so long sweeps show progress.
-  std::setvbuf(stdout, nullptr, _IOLBF, 0);
-  std::printf("\n=== %s ===\n", title);
-}
+/// Runs `measure` `repeat` times and keeps the row with the least wall_ms
+/// (the least-noise estimator). The first failed repeat fails the case.
+Result<std::vector<Row>> BestOf(int repeat,
+                                const std::function<Result<Row>()>& measure);
+
+/// A single-row case under the best-of-repeat rule.
+Case BestOfCase(std::string suite, std::string name,
+                std::function<Result<Row>()> measure);
+
+struct RunMetrics {
+  double sim_ms = 0;        ///< Simulated network time to quiescence.
+  double wall_ms = 0;       ///< Host wall-clock time.
+  uint64_t messages = 0;    ///< Total protocol messages.
+  uint64_t bytes = 0;       ///< Total bytes on pipes.
+  uint64_t inserted = 0;    ///< Tuples materialized across all nodes.
+  uint64_t token_passes = 0;
+  bool all_closed = false;
+  size_t depth = 0;
+};
+
+/// Builds the scenario, runs discovery then the global update on a
+/// SimRuntime, and reports the update phase. Any failing step is an error.
+Result<RunMetrics> RunScenario(const workload::ScenarioOptions& options,
+                               core::Session::Options session_options = {});
+
+/// A row carrying `m`'s fields as metrics (all_closed as 1/0).
+Row ScenarioRow(std::string name, const RunMetrics& m);
 
 }  // namespace p2pdb::bench
 

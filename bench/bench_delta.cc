@@ -1,23 +1,22 @@
 // A1 — ablation: the delta optimization (Section 3 mentions it as an
 // optimization "to minimize data transfer and duplication"). With deltas a
 // re-answer carries only new tuples; without, the full result set travels on
-// every change. Cycles amplify the difference.
-#include <cstdio>
+// every change. On trees each link fires once, so deltas help little; around
+// cycles every convergence round re-sends the whole (growing) result without
+// deltas, so the advantage grows with cyclicity and data size — the effect
+// the paper anticipates.
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 
-using namespace p2pdb;        // NOLINT
-using namespace p2pdb::bench;  // NOLINT
+namespace p2pdb::bench {
+namespace {
 
-int main() {
+Result<std::vector<Row>> Delta() {
   const size_t records = FullScale() ? 400 : 120;
   using Kind = workload::TopologySpec::Kind;
-
-  PrintHeader("A1 delta optimization: answer bytes with and without deltas");
-  std::printf("%-12s %5s %7s | %12s %10s | %12s %10s | %7s\n", "topology",
-              "nodes", "records", "delta-msgs", "delta-kB", "full-msgs",
-              "full-kB", "ratio");
-
+  std::vector<Row> rows;
   for (Kind kind : {Kind::kTree, Kind::kRing, Kind::kLayeredDag}) {
     workload::ScenarioOptions options;
     options.topology.kind = kind;
@@ -27,28 +26,33 @@ int main() {
 
     core::Session::Options with_delta;
     with_delta.peer.update.delta_answers = true;
-    RunMetrics delta = RunScenario(options, with_delta);
+    P2PDB_ASSIGN_OR_RETURN(RunMetrics delta, RunScenario(options, with_delta));
 
     core::Session::Options without_delta;
     without_delta.peer.update.delta_answers = false;
-    RunMetrics full = RunScenario(options, without_delta);
+    P2PDB_ASSIGN_OR_RETURN(RunMetrics full,
+                           RunScenario(options, without_delta));
 
-    double ratio = delta.bytes > 0
-                       ? static_cast<double>(full.bytes) /
-                             static_cast<double>(delta.bytes)
-                       : 0.0;
-    std::printf("%-12s %5zu %7zu | %12llu %10llu | %12llu %10llu | %6.2fx\n",
-                workload::TopologyKindName(kind), options.topology.nodes,
-                options.records_per_node,
-                static_cast<unsigned long long>(delta.messages),
-                static_cast<unsigned long long>(delta.bytes / 1024),
-                static_cast<unsigned long long>(full.messages),
-                static_cast<unsigned long long>(full.bytes / 1024), ratio);
+    rows.push_back(Row{
+        std::string("a1_delta_") + workload::TopologyKindName(kind),
+        {{"nodes", static_cast<double>(options.topology.nodes)},
+         {"records", static_cast<double>(options.records_per_node)},
+         {"delta_messages", static_cast<double>(delta.messages)},
+         {"delta_bytes", static_cast<double>(delta.bytes)},
+         {"full_messages", static_cast<double>(full.messages)},
+         {"full_bytes", static_cast<double>(full.bytes)},
+         {"bytes_ratio", delta.bytes > 0 ? static_cast<double>(full.bytes) /
+                                               static_cast<double>(delta.bytes)
+                                         : 0.0}}});
   }
-  std::printf(
-      "\nshape: on trees each link fires once, so deltas help little; around\n"
-      "cycles every convergence round re-sends the whole (growing) result\n"
-      "without deltas, so the optimization's advantage grows with cyclicity\n"
-      "and data size — the effect the paper anticipates.\n");
-  return 0;
+  return rows;
 }
+
+}  // namespace
+
+std::vector<Case> DeltaCases() {
+  return {
+      Case{"paper", "a1_delta", [](const RunArgs&) { return Delta(); }}};
+}
+
+}  // namespace p2pdb::bench

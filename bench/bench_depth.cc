@@ -3,16 +3,16 @@
 // time is linear with respect to the depth of the structure."
 //
 // Sweeps depth at fixed shape (chains, binary trees, layered DAGs), reports
-// simulated execution time, and fits time = a*depth + b, printing the fit's
-// maximum relative residual as the linearity check.
-#include <cstdio>
+// simulated execution time, and fits time = a*depth + b per series; the
+// fit's maximum relative residual is the linearity check (linear = 1 when it
+// is under 25%, matching the paper).
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 
-using namespace p2pdb;        // NOLINT
-using namespace p2pdb::bench;  // NOLINT
-
+namespace p2pdb::bench {
 namespace {
 
 struct Sample {
@@ -44,13 +44,9 @@ double LinearFitResidual(const std::vector<Sample>& samples, double* a,
   return worst;
 }
 
-}  // namespace
-
-int main() {
+Result<std::vector<Row>> Depth() {
   const size_t records = FullScale() ? 500 : 100;
   using Kind = workload::TopologySpec::Kind;
-
-  PrintHeader("E5 execution time vs depth (expected: linear)");
 
   struct Series {
     const char* name;
@@ -63,9 +59,9 @@ int main() {
       {"layered-dag", Kind::kLayeredDag, {4, 7, 10, 13, 16}},
   };
 
+  std::vector<Row> rows;
   for (const Series& s : series) {
-    std::printf("\n%s:\n%6s %6s %10s %12s\n", s.name, "nodes", "depth",
-                "sim-ms", "messages");
+    const std::string prefix = std::string("e5_depth_") + s.name + "_";
     std::vector<Sample> samples;
     for (size_t size : s.sizes) {
       workload::ScenarioOptions options;
@@ -75,17 +71,26 @@ int main() {
       // Layered DAG: ~3 nodes per layer; depth = layers - 1.
       options.topology.layers = (size + 2) / 3;
       options.records_per_node = records;
-      RunMetrics m = RunScenario(options);
-      std::printf("%6zu %6zu %10.2f %12llu\n", size, m.depth, m.sim_ms,
-                  static_cast<unsigned long long>(m.messages));
+      P2PDB_ASSIGN_OR_RETURN(RunMetrics m, RunScenario(options));
+      rows.push_back(ScenarioRow(prefix + std::to_string(size), m));
       samples.push_back(Sample{static_cast<double>(m.depth), m.sim_ms});
     }
     double a = 0, b = 0;
     double residual = LinearFitResidual(samples, &a, &b);
-    std::printf("  fit: time = %.2f * depth + %.2f ms; max relative residual "
-                "%.1f%% -> %s\n",
-                a, b, residual * 100,
-                residual < 0.25 ? "linear (matches paper)" : "NOT linear");
+    rows.push_back(Row{prefix + "fit",
+                       {{"slope_ms_per_depth", a},
+                        {"intercept_ms", b},
+                        {"max_relative_residual", residual},
+                        {"linear", residual < 0.25 ? 1.0 : 0.0}}});
   }
-  return 0;
+  return rows;
 }
+
+}  // namespace
+
+std::vector<Case> DepthCases() {
+  return {
+      Case{"paper", "e5_depth", [](const RunArgs&) { return Depth(); }}};
+}
+
+}  // namespace p2pdb::bench

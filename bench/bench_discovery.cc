@@ -3,76 +3,63 @@
 //     A1-A3),
 //   * one instance per node (what running Discover everywhere yields),
 //   * eager duplicate answers (the paper's gossip-style extra messages).
-#include <cstdio>
+// A single origin costs O(edges) messages plus a closure wave; per-node
+// origins multiply that by n (every node must learn its own paths when the
+// super-peer cannot reach it); eager answers add bytes, never messages — the
+// asynchronous surplus the paper describes.
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
+#include "src/net/sim_runtime.h"
 
-using namespace p2pdb;        // NOLINT
-using namespace p2pdb::bench;  // NOLINT
-
+namespace p2pdb::bench {
 namespace {
 
-struct DiscoveryMetrics {
-  double sim_ms = 0;
-  uint64_t messages = 0;
-  uint64_t bytes = 0;
-};
-
-DiscoveryMetrics RunDiscoveryOnly(const workload::ScenarioOptions& options,
-                                  core::Session::Options session_options) {
-  DiscoveryMetrics out;
-  auto system = workload::BuildScenario(options);
-  if (!system.ok()) return out;
-  net::SimRuntime rt;
-  core::Session session(*system, &rt, session_options);
-  if (!session.RunDiscovery().ok()) return out;
-  out.sim_ms = static_cast<double>(rt.NowMicros()) / 1000.0;
-  out.messages = rt.stats().total_messages();
-  out.bytes = rt.stats().total_bytes();
-  return out;
-}
-
-}  // namespace
-
-int main() {
+Result<std::vector<Row>> Discovery() {
   using Kind = workload::TopologySpec::Kind;
   using Mode = core::Session::Options::DiscoveryMode;
-
-  PrintHeader("A3 discovery strategies: messages and bytes");
-  std::printf("%-12s %5s | %-22s %10s %12s %10s\n", "topology", "nodes",
-              "strategy", "sim-ms", "messages", "bytes");
-
+  struct Strategy {
+    const char* name;
+    Mode mode;
+    bool eager;
+  };
+  std::vector<Row> rows;
   for (Kind kind : {Kind::kTree, Kind::kClique, Kind::kRandom}) {
     for (size_t nodes : {15u, 31u}) {
       workload::ScenarioOptions options;
       options.topology.kind = kind;
       options.topology.nodes = nodes;
       options.records_per_node = 1;  // Discovery ignores data.
-
-      struct Strategy {
-        const char* name;
-        Mode mode;
-        bool eager;
-      };
+      P2PDB_ASSIGN_OR_RETURN(core::P2PSystem system,
+                             workload::BuildScenario(options));
       for (const Strategy& strategy :
-           {Strategy{"super-peer origin", Mode::kSuperPeer, false},
-            Strategy{"per-node origins", Mode::kAll, false},
-            Strategy{"per-node + eager", Mode::kAll, true}}) {
+           {Strategy{"super_peer", Mode::kSuperPeer, false},
+            Strategy{"per_node", Mode::kAll, false},
+            Strategy{"per_node_eager", Mode::kAll, true}}) {
         core::Session::Options session_options;
         session_options.discovery = strategy.mode;
         session_options.peer.eager_discovery_answers = strategy.eager;
-        DiscoveryMetrics m = RunDiscoveryOnly(options, session_options);
-        std::printf("%-12s %5zu | %-22s %10.1f %12llu %10llu\n",
-                    workload::TopologyKindName(kind), nodes, strategy.name,
-                    m.sim_ms, static_cast<unsigned long long>(m.messages),
-                    static_cast<unsigned long long>(m.bytes));
+        net::SimRuntime rt;
+        core::Session session(system, &rt, session_options);
+        P2PDB_RETURN_IF_ERROR(session.RunDiscovery());
+        rows.push_back(Row{
+            std::string("a3_discovery_") + workload::TopologyKindName(kind) +
+                "_" + std::to_string(nodes) + "_" + strategy.name,
+            {{"sim_ms", static_cast<double>(rt.NowMicros()) / 1000.0},
+             {"messages", static_cast<double>(rt.stats().total_messages())},
+             {"bytes", static_cast<double>(rt.stats().total_bytes())}}});
       }
     }
   }
-  std::printf(
-      "\nshape: a single origin costs O(edges) messages plus a closure wave;\n"
-      "per-node origins multiply that by n (every node must learn its own\n"
-      "paths when the super-peer cannot reach it); eager answers add bytes,\n"
-      "never messages — the asynchronous surplus the paper describes.\n");
-  return 0;
+  return rows;
 }
+
+}  // namespace
+
+std::vector<Case> DiscoveryCases() {
+  return {Case{"paper", "a3_discovery",
+               [](const RunArgs&) { return Discovery(); }}};
+}
+
+}  // namespace p2pdb::bench

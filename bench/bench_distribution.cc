@@ -1,41 +1,44 @@
 // E4 — the Section 5 data-distribution experiment: two distributions, one
 // with no intersection between neighbours' initial data, one where linked
 // nodes' data intersects with probability 50%. Overlap shrinks the volume of
-// genuinely new data each answer carries (visible in bytes and inserts).
-#include <cstdio>
+// genuinely new data each answer carries (visible in bytes and inserts); the
+// time shape (driven by depth) is unchanged, the paper's qualitative effect.
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 
-using namespace p2pdb;        // NOLINT
-using namespace p2pdb::bench;  // NOLINT
+namespace p2pdb::bench {
+namespace {
 
-int main() {
+Result<std::vector<Row>> Distribution() {
   const size_t records = FullScale() ? 1000 : 300;
-  PrintHeader("E4 data distributions: 0% vs 50% neighbour intersection");
-  std::printf("%-12s %5s %9s %10s %12s %10s %10s\n", "topology", "nodes",
-              "overlap", "sim-ms", "messages", "kbytes", "inserted");
-
   using Kind = workload::TopologySpec::Kind;
+  std::vector<Row> rows;
   for (Kind kind : {Kind::kTree, Kind::kLayeredDag}) {
-    for (double overlap : {0.0, 0.5}) {
+    for (int overlap_percent : {0, 50}) {
       workload::ScenarioOptions options;
       options.topology.kind = kind;
       options.topology.nodes = 15;
       options.topology.layers = 4;
       options.records_per_node = records;
-      options.link_overlap_prob = overlap;
-      RunMetrics m = RunScenario(options);
-      std::printf("%-12s %5d %8.0f%% %10.1f %12llu %10llu %10llu\n",
-                  workload::TopologyKindName(kind), 15, overlap * 100,
-                  m.sim_ms, static_cast<unsigned long long>(m.messages),
-                  static_cast<unsigned long long>(m.bytes / 1024),
-                  static_cast<unsigned long long>(m.inserted));
+      options.link_overlap_prob = overlap_percent / 100.0;
+      P2PDB_ASSIGN_OR_RETURN(RunMetrics m, RunScenario(options));
+      rows.push_back(ScenarioRow(std::string("e4_distribution_") +
+                                     workload::TopologyKindName(kind) +
+                                     "_overlap" +
+                                     std::to_string(overlap_percent),
+                                 m));
     }
   }
-  std::printf(
-      "\npaper comparison: with 50%% intersection, part of each answer is\n"
-      "already present at the head node, so fewer tuples materialize per\n"
-      "message and the data volume per link drops; the time shape (driven by\n"
-      "depth) is unchanged. The paper reports the same qualitative effect.\n");
-  return 0;
+  return rows;
 }
+
+}  // namespace
+
+std::vector<Case> DistributionCases() {
+  return {Case{"paper", "e4_distribution",
+               [](const RunArgs&) { return Distribution(); }}};
+}
+
+}  // namespace p2pdb::bench

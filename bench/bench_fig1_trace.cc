@@ -1,17 +1,19 @@
 // E2 — regenerates Figure 1: a sample execution of the discovery and update
-// algorithm over the running example, printed as a message sequence timeline
-// (requestNodes/processAnswer during discovery; Query/Answer during update).
-#include <cstdio>
+// algorithm over the running example. The row counts the message sequence
+// by the paper's function names (requestNodes/processAnswer during
+// discovery; Query/Answer during update); the fix-point machinery (tokens,
+// SCC closures) is counted apart, as Figure 1 shows only the data protocol.
+#include <map>
+#include <string>
+#include <vector>
 
-#include "src/core/session.h"
+#include "bench/bench_common.h"
 #include "src/net/sim_runtime.h"
-#include "src/workload/scenario.h"
 
-using namespace p2pdb;  // NOLINT
-
+namespace p2pdb::bench {
 namespace {
 
-const char* PaperName(net::MessageType type) {
+std::string PaperName(net::MessageType type) {
   // Figure 1 uses the paper's function names.
   switch (type) {
     case net::MessageType::kDiscoverRequest:
@@ -31,47 +33,39 @@ const char* PaperName(net::MessageType type) {
   }
 }
 
-}  // namespace
-
-int main() {
-  auto system = workload::MakeRunningExample();
-  if (!system.ok()) return 1;
-
+Result<std::vector<Row>> Fig1Trace() {
+  P2PDB_ASSIGN_OR_RETURN(core::P2PSystem system,
+                         workload::MakeRunningExample());
   net::SimRuntime rt;
-  int printed = 0;
-  const int kMaxLines = 120;
-  rt.set_tracer([&](uint64_t time_us, const net::Message& msg) {
+  std::map<std::string, double> counts;
+  double fixpoint_messages = 0;
+  rt.set_tracer([&](uint64_t, const net::Message& msg) {
     if (msg.type == net::MessageType::kToken ||
         msg.type == net::MessageType::kSccClosed) {
-      return;  // Fix-point machinery; Figure 1 shows only the data protocol.
+      ++fixpoint_messages;
+    } else {
+      ++counts[PaperName(msg.type)];
     }
-    if (printed < kMaxLines) {
-      std::printf("t=%8.3fms  :%s -> :%s  %-14s (%zu bytes)\n",
-                  static_cast<double>(time_us) / 1000.0,
-                  system->node(msg.from).name.c_str(),
-                  system->node(msg.to).name.c_str(), PaperName(msg.type),
-                  msg.payload.size());
-    } else if (printed == kMaxLines) {
-      std::printf("... (further messages elided)\n");
-    }
-    ++printed;
   });
+  core::Session session(system, &rt);
+  P2PDB_RETURN_IF_ERROR(session.RunDiscovery());
+  P2PDB_RETURN_IF_ERROR(session.RunUpdate());
 
-  core::Session session(*system, &rt);
-  std::printf("--- phase 1: topology discovery (super-peer :A) ---\n");
-  core::Session::Options opts;  // Default constructed for reference only.
-  (void)opts;
-  if (!session.RunDiscovery().ok()) return 1;
-  std::printf("\n--- phase 2: database update (super-peer :A) ---\n");
-  if (!session.RunUpdate().ok()) return 1;
-
-  std::printf("\nall nodes closed: %s\n",
-              session.AllClosed() ? "yes" : "NO");
-  std::printf("total messages traced: %d (tokens/closures elided from the "
-              "timeline)\n",
-              printed);
-  std::printf("\nshape check vs Figure 1: requests cascade :A->:B->{:C,:E},\n"
-              "answers return toward the super-peer, and during the update\n"
-              "Query/Answer pairs iterate until the fix-point closes.\n");
-  return 0;
+  Row row{"e2_fig1_trace",
+          {{"sim_ms", static_cast<double>(rt.NowMicros()) / 1000.0},
+           {"all_closed", session.AllClosed() ? 1.0 : 0.0},
+           {"fixpoint_messages", fixpoint_messages}}};
+  for (const auto& [name, count] : counts) {
+    row.metrics.emplace_back("msgs_" + name, count);
+  }
+  return std::vector<Row>{std::move(row)};
 }
+
+}  // namespace
+
+std::vector<Case> Fig1TraceCases() {
+  return {Case{"paper", "e2_fig1_trace",
+               [](const RunArgs&) { return Fig1Trace(); }}};
+}
+
+}  // namespace p2pdb::bench

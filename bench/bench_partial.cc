@@ -1,77 +1,63 @@
 // A6 — query-dependent update vs global update: the paper distinguishes the
 // global update (materialize everything everywhere) from query-dependent
 // updates that pull only the relations one local query needs, bounded by the
-// SN path mechanism of algorithm A4.
-#include <cstdio>
+// SN path mechanism of algorithm A4. The query-dependent mode still pulls
+// the root's transitive sources (its answer needs them) but skips
+// materialization at sibling nodes; with a single consumer the message
+// counts converge, which is why the paper materializes globally when every
+// node will eventually query.
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
+#include "src/net/sim_runtime.h"
 #include "src/workload/dblp.h"
 
-using namespace p2pdb;        // NOLINT
-using namespace p2pdb::bench;  // NOLINT
+namespace p2pdb::bench {
+namespace {
 
-int main() {
+Result<std::vector<Row>> Partial() {
   const size_t records = FullScale() ? 650 : 200;
   using Kind = workload::TopologySpec::Kind;
-
-  PrintHeader("A6 query-dependent vs global update");
-  std::printf("%-12s %5s | %-16s %10s %12s %10s %12s\n", "topology", "nodes",
-              "mode", "sim-ms", "messages", "kbytes", "root-tuples");
-
+  std::vector<Row> rows;
   for (Kind kind : {Kind::kTree, Kind::kLayeredDag}) {
     workload::ScenarioOptions options;
     options.topology.kind = kind;
     options.topology.nodes = 15;
     options.topology.layers = 4;
     options.records_per_node = records;
-
-    // Global update.
-    {
-      auto system = workload::BuildScenario(options);
-      if (!system.ok()) continue;
+    P2PDB_ASSIGN_OR_RETURN(core::P2PSystem system,
+                           workload::BuildScenario(options));
+    for (bool partial : {false, true}) {
       net::SimRuntime rt;
-      core::Session session(*system, &rt);
-      if (!session.RunDiscovery().ok()) continue;
+      core::Session session(system, &rt);
+      P2PDB_RETURN_IF_ERROR(session.RunDiscovery());
       rt.stats().Reset();
       uint64_t t0 = rt.NowMicros();
-      if (!session.RunUpdate().ok()) continue;
-      std::printf("%-12s %5d | %-16s %10.1f %12llu %10llu %12zu\n",
-                  workload::TopologyKindName(kind), 15, "global",
-                  static_cast<double>(rt.NowMicros() - t0) / 1000.0,
-                  static_cast<unsigned long long>(rt.stats().total_messages()),
-                  static_cast<unsigned long long>(rt.stats().total_bytes() /
-                                                  1024),
-                  session.peer(0).db().TotalTuples());
-    }
-    // Query-dependent: the root only wants its article relation filled
-    // (needed by any local query over it); nothing else materializes.
-    {
-      auto system = workload::BuildScenario(options);
-      if (!system.ok()) continue;
-      net::SimRuntime rt;
-      core::Session session(*system, &rt);
-      if (!session.RunDiscovery().ok()) continue;
-      rt.stats().Reset();
-      uint64_t t0 = rt.NowMicros();
-      if (!session
-               .RunPartialUpdate(0, {workload::NodeRelationName(0, "art")})
-               .ok()) {
-        continue;
-      }
-      std::printf("%-12s %5d | %-16s %10.1f %12llu %10llu %12zu\n",
-                  workload::TopologyKindName(kind), 15, "query-dependent",
-                  static_cast<double>(rt.NowMicros() - t0) / 1000.0,
-                  static_cast<unsigned long long>(rt.stats().total_messages()),
-                  static_cast<unsigned long long>(rt.stats().total_bytes() /
-                                                  1024),
-                  session.peer(0).db().TotalTuples());
+      // Query-dependent: the root only wants its article relation filled
+      // (needed by any local query over it); nothing else materializes.
+      P2PDB_RETURN_IF_ERROR(
+          partial ? session.RunPartialUpdate(
+                        0, {workload::NodeRelationName(0, "art")})
+                  : session.RunUpdate());
+      rows.push_back(Row{
+          std::string("a6_partial_") + workload::TopologyKindName(kind) +
+              (partial ? "_query_dependent" : "_global"),
+          {{"sim_ms", static_cast<double>(rt.NowMicros() - t0) / 1000.0},
+           {"messages", static_cast<double>(rt.stats().total_messages())},
+           {"bytes", static_cast<double>(rt.stats().total_bytes())},
+           {"root_tuples",
+            static_cast<double>(session.peer(0).db().TotalTuples())}}});
     }
   }
-  std::printf(
-      "\nshape: the query-dependent mode still pulls the root's transitive\n"
-      "sources (its answer needs them) but skips materialization at sibling\n"
-      "nodes, so intermediate nodes stay lean; with a single consumer the\n"
-      "message counts converge, which is why the paper materializes globally\n"
-      "when every node will eventually query.\n");
-  return 0;
+  return rows;
 }
+
+}  // namespace
+
+std::vector<Case> PartialCases() {
+  return {Case{"paper", "a6_partial",
+               [](const RunArgs&) { return Partial(); }}};
+}
+
+}  // namespace p2pdb::bench

@@ -1,7 +1,6 @@
-// bench_queries: the MVCC query plane under read traffic — standalone QPS,
-// QPS concurrent with a propagating TCP update, and read-latency
-// percentiles, emitted as BENCH_queries.json (scripts/run_bench.sh --bench
-// queries).
+// The MVCC query plane under read traffic — standalone QPS, QPS concurrent
+// with a propagating TCP update, and read-latency percentiles: bench_main's
+// `queries` suite.
 //
 // Each run builds one 64-peer TCP session and measures three phases over
 // the same reader pool and generated workload:
@@ -20,11 +19,10 @@
 // the initial-data rate would charge data growth to the read path. On a
 // single-core host the update also competes for the CPU itself, so the
 // ratio bounds reader overhead + time-sharing together.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -40,24 +38,8 @@
 namespace p2pdb::bench {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-struct BenchResult {
-  std::string name;
-  std::vector<std::pair<std::string, double>> metrics;
-
-  double Metric(const std::string& key) const {
-    for (const auto& [k, v] : metrics) {
-      if (k == key) return v;
-    }
-    return 0;
-  }
-};
+constexpr size_t kPeers = 64;
+constexpr size_t kReaders = 2;
 
 /// Reader pool: each thread cycles the op list (offset by thread index so
 /// threads do not march in lockstep) against Session::Query/QueryPoint until
@@ -116,7 +98,7 @@ class ReaderPool {
   std::atomic<uint64_t> violations_{0};
 };
 
-void AppendLatency(BenchResult* result) {
+void AppendLatency(Row* result) {
   obs::HistogramSnapshot lat = obs::Registry::Global()
                                    .GetHistogram("query.eval_micros")
                                    ->Snapshot();
@@ -128,30 +110,30 @@ void AppendLatency(BenchResult* result) {
 
 /// Runs all three phases on one session; returns {initial, concurrent,
 /// quiescent} rows.
-std::vector<BenchResult> QueryPlaneBench(size_t nodes, size_t records,
+Result<std::vector<Row>> QueryPlaneBench(size_t nodes, size_t records,
                                          size_t readers,
                                          double quiescent_window_ms,
                                          const std::string& obs_path) {
-  std::vector<BenchResult> rows;
+  std::vector<Row> rows;
   workload::ScenarioOptions options;
   options.topology.kind = workload::TopologySpec::Kind::kTree;
   options.topology.nodes = nodes;
   options.records_per_node = records;
-  auto system = workload::BuildScenario(options);
-  if (!system.ok()) return rows;
-  auto ops = workload::BuildQueryWorkload(*system, {});
-  if (!ops.ok()) return rows;
+  P2PDB_ASSIGN_OR_RETURN(core::P2PSystem system,
+                         workload::BuildScenario(options));
+  P2PDB_ASSIGN_OR_RETURN(std::vector<workload::QueryOp> ops,
+                         workload::BuildQueryWorkload(system, {}));
 
   net::TcpRuntime rt;
-  core::Session session(*system, &rt);
-  if (!session.RunDiscovery().ok()) return rows;
+  core::Session session(system, &rt);
+  P2PDB_RETURN_IF_ERROR(session.RunDiscovery());
 
   std::string suffix = std::to_string(nodes) + "p";
   obs::Registry& registry = obs::Registry::Global();
 
   auto run_quiet_phase = [&](const std::string& name) {
     registry.Reset();
-    ReaderPool pool(session, *ops, readers);
+    ReaderPool pool(session, ops, readers);
     auto start = Clock::now();
     pool.Start();
     std::this_thread::sleep_for(
@@ -160,7 +142,7 @@ std::vector<BenchResult> QueryPlaneBench(size_t nodes, size_t records,
     double ms = MsSince(start);
     double qps = ms > 0 ? static_cast<double>(pool.answered()) / ms * 1000.0
                         : 0;
-    BenchResult row{
+    Row row{
         name + suffix,
         {{"wall_ms", ms},
          {"qps", qps},
@@ -172,18 +154,18 @@ std::vector<BenchResult> QueryPlaneBench(size_t nodes, size_t records,
   };
 
   // Phase 1 — initial: nothing but readers, pre-update data.
-  BenchResult initial = run_quiet_phase("queries_initial_");
+  Row initial = run_quiet_phase("queries_initial_");
   double initial_qps = initial.Metric("qps");
   rows.push_back(std::move(initial));
 
   // Phase 2 — concurrent: same readers while an update propagates.
   registry.Reset();
-  ReaderPool concurrent_pool(session, *ops, readers);
+  ReaderPool concurrent_pool(session, ops, readers);
   auto c_start = Clock::now();
   concurrent_pool.Start();
   uint64_t before_update = concurrent_pool.answered();
   auto u_start = Clock::now();
-  bool update_ok = session.RunUpdate().ok();
+  Status update = session.RunUpdate();
   double update_ms = MsSince(u_start);
   uint64_t during_update = concurrent_pool.answered() - before_update;
   // Pad the window past the update so the row reports a steady-state rate.
@@ -192,6 +174,7 @@ std::vector<BenchResult> QueryPlaneBench(size_t nodes, size_t records,
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   concurrent_pool.Stop();
+  P2PDB_RETURN_IF_ERROR(update);
   double c_ms = MsSince(c_start);
   double concurrent_qps =
       c_ms > 0 ? static_cast<double>(concurrent_pool.answered()) / c_ms * 1000.0
@@ -201,7 +184,7 @@ std::vector<BenchResult> QueryPlaneBench(size_t nodes, size_t records,
                     : 0;
   int64_t staleness_max =
       registry.GetGauge("query.snapshot_staleness_batches")->Value();
-  BenchResult concurrent{
+  Row concurrent{
       "queries_concurrent_" + suffix,
       {{"wall_ms", c_ms},
        {"qps", concurrent_qps},
@@ -212,7 +195,7 @@ std::vector<BenchResult> QueryPlaneBench(size_t nodes, size_t records,
        {"readers", static_cast<double>(readers)},
        {"violations", static_cast<double>(concurrent_pool.violations())},
        {"snapshot_staleness_max", static_cast<double>(staleness_max)},
-       {"update_ok", update_ok && session.AllClosed() ? 1.0 : 0.0}}};
+       {"update_ok", session.AllClosed() ? 1.0 : 0.0}}};
   AppendLatency(&concurrent);
 
   if (!obs_path.empty()) {
@@ -224,7 +207,7 @@ std::vector<BenchResult> QueryPlaneBench(size_t nodes, size_t records,
 
   // Phase 3 — quiescent: readers alone on the converged database. This is
   // the baseline the ratio compares against (see file comment).
-  BenchResult quiescent = run_quiet_phase("queries_quiescent_");
+  Row quiescent = run_quiet_phase("queries_quiescent_");
   double quiescent_qps = quiescent.Metric("qps");
   concurrent.metrics.emplace_back("quiescent_qps", quiescent_qps);
   concurrent.metrics.emplace_back(
@@ -235,88 +218,29 @@ std::vector<BenchResult> QueryPlaneBench(size_t nodes, size_t records,
   return rows;
 }
 
-bool WriteJson(const std::string& path,
-               const std::vector<BenchResult>& results, int repeat) {
-  std::ofstream out(path);
-  if (!out.is_open()) return false;
-  out << "{\n  \"suite\": \"p2pdb_queries\",\n  \"repeat\": " << repeat
-      << ",\n  \"full_scale\": " << (FullScale() ? "true" : "false")
-      << ",\n  \"benches\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    out << "    {\n      \"name\": \"" << results[i].name << "\"";
-    for (const auto& [key, value] : results[i].metrics) {
-      out << ",\n      \"" << key << "\": " << value;
-    }
-    out << "\n    }" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  out.flush();
-  return !out.fail();
-}
-
-int Main(int argc, char** argv) {
-  std::string out_path = "BENCH_queries.json";
-  std::string obs_path;
-  int repeat = 2;
-  size_t nodes = 64;
-  size_t readers = 2;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--obs") == 0 && i + 1 < argc) {
-      obs_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      repeat = std::max(1, std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--peers") == 0 && i + 1 < argc) {
-      nodes = static_cast<size_t>(std::max(2, std::atoi(argv[++i])));
-    } else if (std::strcmp(argv[i], "--readers") == 0 && i + 1 < argc) {
-      readers = static_cast<size_t>(std::max(1, std::atoi(argv[++i])));
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_queries [--out FILE] [--repeat N] "
-                   "[--peers N] [--readers N] [--obs FILE]\n");
-      return 2;
-    }
-  }
-
+/// Keeps the repeat with the best concurrent/quiescent ratio: all phases
+/// come from one session, so the triple is kept together.
+Result<std::vector<Row>> BestQueryPlane(const RunArgs& args) {
   const size_t records = FullScale() ? 100 : 10;
   const double window_ms = FullScale() ? 2000 : 400;
-
-  PrintHeader("bench_queries: MVCC query plane vs update propagation");
-  std::printf("%-26s %10s %12s %10s %10s\n", "bench", "wall_ms", "qps",
-              "p99_us", "ratio%");
-
-  // Keep the repeat with the best concurrent/quiescent ratio: all phases
-  // come from one session, so the triple is kept together.
-  std::vector<BenchResult> best;
-  for (int r = 0; r < repeat; ++r) {
-    std::vector<BenchResult> run = QueryPlaneBench(
-        nodes, records, readers, window_ms, r == repeat - 1 ? obs_path : "");
-    if (run.size() < 3) continue;
+  std::vector<Row> best;
+  for (int r = 0; r < args.repeat; ++r) {
+    P2PDB_ASSIGN_OR_RETURN(
+        std::vector<Row> run,
+        QueryPlaneBench(kPeers, records, kReaders, window_ms,
+                        r == args.repeat - 1 ? args.obs_path : ""));
     if (best.empty() || run[1].Metric("concurrent_ratio_percent") >
                             best[1].Metric("concurrent_ratio_percent")) {
       best = std::move(run);
     }
   }
-  if (best.empty()) {
-    std::fprintf(stderr, "bench_queries: no successful run\n");
-    return 1;
-  }
-  for (const BenchResult& row : best) {
-    std::printf("%-26s %10.1f %12.0f %10.0f %10.1f\n", row.name.c_str(),
-                row.Metric("wall_ms"), row.Metric("qps"),
-                row.Metric("eval_p99_us"),
-                row.Metric("concurrent_ratio_percent"));
-  }
-  if (!WriteJson(out_path, best, repeat)) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("results written to %s\n", out_path.c_str());
-  return 0;
+  return best;
 }
 
 }  // namespace
-}  // namespace p2pdb::bench
 
-int main(int argc, char** argv) { return p2pdb::bench::Main(argc, argv); }
+std::vector<Case> QueryCases() {
+  return {Case{"queries", "queries_64p", BestQueryPlane}};
+}
+
+}  // namespace p2pdb::bench

@@ -1,21 +1,15 @@
 // Durability bench: WAL append throughput (sync and nosync), checkpoint
 // save/load cost, and recovery (checkpoint + WAL replay) time as a function
 // of database size, plus one end-to-end crash/restart churn run on the sim
-// runtime. Emits BENCH_recovery.json in the same shape as bench_main.
-//
-//   ./bench_recovery [--out FILE] [--repeat N] [--filter SUBSTR]
-#include <algorithm>
+// runtime. This is bench_main's `recovery` suite.
 #include <chrono>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/net/sim_runtime.h"
 #include "src/storage/checkpoint.h"
 #include "src/storage/storage_manager.h"
 #include "src/util/log_capture.h"
@@ -24,12 +18,6 @@ namespace p2pdb::bench {
 namespace {
 
 namespace fs = std::filesystem;
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 std::string FreshDir(const std::string& name) {
   fs::path dir = fs::temp_directory_path() / ("p2pdb_bench_" + name);
@@ -63,135 +51,118 @@ storage::DeltaMap MakeDelta(size_t base, size_t tuples) {
   return delta;
 }
 
-struct BenchResult {
-  std::string name;
-  std::vector<std::pair<std::string, double>> metrics;
-
-  double Metric(const std::string& key) const {
-    for (const auto& [k, v] : metrics) {
-      if (k == key) return v;
-    }
-    return 0;
-  }
-};
-
 /// WAL append throughput: `batches` deltas of `batch_tuples` tuples each.
 /// A nonzero `group_commit` window coalesces kSync fsyncs (the group-commit
 /// satellite: most of the nosync throughput, bounded durability window).
-BenchResult WalAppendBench(const std::string& name, storage::SyncMode sync,
+Result<Row> WalAppendBench(const std::string& name, storage::SyncMode sync,
                            size_t batches, size_t batch_tuples,
                            storage::GroupCommitOptions group_commit = {}) {
-  BenchResult result;
-  result.name = name;
   storage::StorageOptions options;
   options.dir = FreshDir(name);
   options.sync = sync;
   options.group_commit = group_commit;
   options.checkpoint_wal_bytes = ~0ull;  // Never checkpoint: measure the log.
-  auto manager = storage::StorageManager::Open(options);
-  if (!manager.ok()) return result;
+  P2PDB_ASSIGN_OR_RETURN(auto manager, storage::StorageManager::Open(options));
   auto start = Clock::now();
   for (size_t b = 0; b < batches; ++b) {
-    (void)(*manager)->LogDelta(MakeDelta(b * batch_tuples, batch_tuples));
+    (void)manager->LogDelta(MakeDelta(b * batch_tuples, batch_tuples));
   }
   double wall_ms = MsSince(start);
   double wall_s = wall_ms / 1000.0;
-  double bytes = static_cast<double>((*manager)->wal_bytes());
-  result.metrics = {
-      {"wall_ms", wall_ms},
-      {"records", static_cast<double>(batches)},
-      {"tuples", static_cast<double>(batches * batch_tuples)},
-      {"wal_bytes", bytes},
-      {"fsyncs", static_cast<double>((*manager)->wal_syncs())},
-      {"records_per_sec", wall_s > 0 ? batches / wall_s : 0},
-      {"tuples_per_sec", wall_s > 0 ? batches * batch_tuples / wall_s : 0},
-      {"mb_per_sec", wall_s > 0 ? bytes / (1024 * 1024) / wall_s : 0},
-  };
+  double bytes = static_cast<double>(manager->wal_bytes());
+  Row row{
+      name,
+      {
+          {"wall_ms", wall_ms},
+          {"records", static_cast<double>(batches)},
+          {"tuples", static_cast<double>(batches * batch_tuples)},
+          {"wal_bytes", bytes},
+          {"fsyncs", static_cast<double>(manager->wal_syncs())},
+          {"records_per_sec", wall_s > 0 ? batches / wall_s : 0},
+          {"tuples_per_sec",
+           wall_s > 0 ? batches * batch_tuples / wall_s : 0},
+          {"mb_per_sec", wall_s > 0 ? bytes / (1024 * 1024) / wall_s : 0},
+      }};
   fs::remove_all(options.dir);
-  return result;
+  return row;
 }
 
 /// Checkpoint save + load cost for a database of `tuples` rows.
-BenchResult CheckpointBench(const std::string& name, size_t tuples) {
-  BenchResult result;
-  result.name = name;
+Result<Row> CheckpointBench(const std::string& name, size_t tuples) {
   std::string dir = FreshDir(name);
   fs::create_directories(dir);
   rel::Database db = MakeDb(tuples);
 
   auto start = Clock::now();
-  Status saved = storage::SaveCheckpoint(db, dir);
+  P2PDB_RETURN_IF_ERROR(storage::SaveCheckpoint(db, dir));
   double save_ms = MsSince(start);
-  if (!saved.ok()) return result;
 
   start = Clock::now();
-  auto loaded = storage::LoadCheckpoint(dir);
+  P2PDB_RETURN_IF_ERROR(storage::LoadCheckpoint(dir).status());
   double load_ms = MsSince(start);
-  if (!loaded.ok()) return result;
 
   double bytes =
       static_cast<double>(fs::file_size(storage::CheckpointPath(dir)));
-  result.metrics = {
-      {"wall_ms", save_ms + load_ms},
-      {"tuples", static_cast<double>(tuples)},
-      {"save_ms", save_ms},
-      {"load_ms", load_ms},
-      {"checkpoint_bytes", bytes},
-      {"save_tuples_per_sec", save_ms > 0 ? tuples / (save_ms / 1000.0) : 0},
-  };
+  Row row{
+      name,
+      {
+          {"wall_ms", save_ms + load_ms},
+          {"tuples", static_cast<double>(tuples)},
+          {"save_ms", save_ms},
+          {"load_ms", load_ms},
+          {"checkpoint_bytes", bytes},
+          {"save_tuples_per_sec",
+           save_ms > 0 ? tuples / (save_ms / 1000.0) : 0},
+      }};
   fs::remove_all(dir);
-  return result;
+  return row;
 }
 
 /// Full recovery (checkpoint of `base_tuples` + `wal_records` deltas) time.
-BenchResult RecoveryBench(const std::string& name, size_t base_tuples,
+Result<Row> RecoveryBench(const std::string& name, size_t base_tuples,
                           size_t wal_records, size_t batch_tuples) {
-  BenchResult result;
-  result.name = name;
   storage::StorageOptions options;
   options.dir = FreshDir(name);
   options.sync = storage::SyncMode::kNoSync;
   options.checkpoint_wal_bytes = ~0ull;
-  auto manager = storage::StorageManager::Open(options);
-  if (!manager.ok()) return result;
-  if (!(*manager)->EnsureBase(MakeDb(base_tuples)).ok()) return result;
+  P2PDB_ASSIGN_OR_RETURN(auto manager, storage::StorageManager::Open(options));
+  P2PDB_RETURN_IF_ERROR(manager->EnsureBase(MakeDb(base_tuples)));
   for (size_t r = 0; r < wal_records; ++r) {
-    (void)(*manager)->LogDelta(
+    (void)manager->LogDelta(
         MakeDelta(base_tuples + r * batch_tuples, batch_tuples));
   }
 
   auto start = Clock::now();
   storage::RecoveryInfo info;
-  auto recovered = (*manager)->Recover(&info);
+  P2PDB_RETURN_IF_ERROR(manager->Recover(&info).status());
   double wall_ms = MsSince(start);
-  if (!recovered.ok()) return result;
-  result.metrics = {
-      {"wall_ms", wall_ms},
-      {"base_tuples", static_cast<double>(base_tuples)},
-      {"wal_records", static_cast<double>(info.wal_records_replayed)},
-      {"wal_bytes", static_cast<double>(info.wal_bytes_scanned)},
-      {"tuples_recovered", static_cast<double>(info.tuples_recovered)},
-      {"recover_tuples_per_sec",
-       wall_ms > 0 ? info.tuples_recovered / (wall_ms / 1000.0) : 0},
-  };
+  Row row{
+      name,
+      {
+          {"wall_ms", wall_ms},
+          {"base_tuples", static_cast<double>(base_tuples)},
+          {"wal_records", static_cast<double>(info.wal_records_replayed)},
+          {"wal_bytes", static_cast<double>(info.wal_bytes_scanned)},
+          {"tuples_recovered", static_cast<double>(info.tuples_recovered)},
+          {"recover_tuples_per_sec",
+           wall_ms > 0 ? info.tuples_recovered / (wall_ms / 1000.0) : 0},
+      }};
   fs::remove_all(options.dir);
-  return result;
+  return row;
 }
 
 /// End-to-end churn: a tree update with one crash/restart mid-propagation.
-BenchResult ChurnBench(const std::string& name, size_t nodes,
+Result<Row> ChurnBench(const std::string& name, size_t nodes,
                        size_t records_per_node) {
-  BenchResult result;
-  result.name = name;
   workload::ScenarioOptions options;
   options.topology.kind = workload::TopologySpec::Kind::kTree;
   options.topology.nodes = nodes;
   options.records_per_node = records_per_node;
-  auto system = workload::BuildScenario(options);
-  if (!system.ok()) return result;
-  auto churn =
-      workload::PlanCrashRestart(*system, 0, workload::ChurnPlanOptions{});
-  if (!churn.ok()) return result;
+  P2PDB_ASSIGN_OR_RETURN(core::P2PSystem system,
+                         workload::BuildScenario(options));
+  P2PDB_ASSIGN_OR_RETURN(
+      core::ChurnScript churn,
+      workload::PlanCrashRestart(system, 0, workload::ChurnPlanOptions{}));
 
   std::string root = FreshDir(name);
   net::SimRuntime rt;
@@ -204,146 +175,74 @@ BenchResult ChurnBench(const std::string& name, size_t nodes,
     auto manager = storage::StorageManager::Open(storage_options);
     return manager.ok() ? std::move(*manager) : nullptr;
   };
-  core::Session session(*system, &rt, session_options);
-  if (!session.RunDiscovery().ok()) return result;
+  core::Session session(system, &rt, session_options);
+  P2PDB_RETURN_IF_ERROR(session.RunDiscovery());
   ScopedLogCapture quiet;  // Drop-to-crashed-peer warnings are expected.
   auto start = Clock::now();
-  Status run = session.RunUpdateWithChurn(*churn);
+  P2PDB_RETURN_IF_ERROR(session.RunUpdateWithChurn(churn));
   double wall_ms = MsSince(start);
-  if (!run.ok()) return result;
   uint64_t inserted = 0;
   for (size_t n = 0; n < session.peer_count(); ++n) {
     inserted += session.peer(n).update().stats().tuples_inserted;
   }
-  result.metrics = {
-      {"wall_ms", wall_ms},
-      {"sim_ms", static_cast<double>(rt.NowMicros()) / 1000.0},
-      {"messages", static_cast<double>(rt.stats().total_messages())},
-      {"dropped", static_cast<double>(rt.dropped_count())},
-      {"tuples_inserted", static_cast<double>(inserted)},
-      {"all_closed", session.AllClosed() ? 1.0 : 0.0},
-  };
+  Row row{
+      name,
+      {
+          {"wall_ms", wall_ms},
+          {"sim_ms", static_cast<double>(rt.NowMicros()) / 1000.0},
+          {"messages", static_cast<double>(rt.stats().total_messages())},
+          {"dropped", static_cast<double>(rt.dropped_count())},
+          {"tuples_inserted", static_cast<double>(inserted)},
+          {"all_closed", session.AllClosed() ? 1.0 : 0.0},
+      }};
   fs::remove_all(root);
-  return result;
-}
-
-BenchResult Best(BenchResult a, BenchResult b) {
-  if (a.metrics.empty()) return b;
-  if (b.metrics.empty()) return a;
-  return a.Metric("wall_ms") <= b.Metric("wall_ms") ? a : b;
-}
-
-bool WriteJson(const std::string& path,
-               const std::vector<BenchResult>& results, int repeat) {
-  std::ofstream out(path);
-  if (!out.is_open()) return false;
-  out << "{\n  \"suite\": \"p2pdb_recovery\",\n  \"repeat\": " << repeat
-      << ",\n  \"full_scale\": " << (FullScale() ? "true" : "false")
-      << ",\n  \"benches\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    out << "    {\n      \"name\": \"" << results[i].name << "\"";
-    for (const auto& [key, value] : results[i].metrics) {
-      out << ",\n      \"" << key << "\": " << value;
-    }
-    out << "\n    }" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  out.flush();
-  return !out.fail();
-}
-
-int Main(int argc, char** argv) {
-  std::string out_path = "BENCH_recovery.json";
-  std::string filter;
-  int repeat = 2;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      repeat = std::max(1, std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--filter") == 0 && i + 1 < argc) {
-      filter = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_recovery [--out FILE] [--repeat N] "
-                   "[--filter SUBSTR]\n");
-      return 2;
-    }
-  }
-
-  const size_t small = FullScale() ? 5'000 : 1'000;
-  const size_t large = FullScale() ? 50'000 : 10'000;
-  using Maker = std::function<BenchResult()>;
-  std::vector<std::pair<std::string, Maker>> cases = {
-      {"wal_append_nosync",
-       [&] {
-         return WalAppendBench("wal_append_nosync", storage::SyncMode::kNoSync,
-                               large / 10, 10);
-       }},
-      {"wal_append_sync",
-       [&] {
-         // fsync-bound: keep the record count small even at full scale.
-         return WalAppendBench("wal_append_sync", storage::SyncMode::kSync, 200,
-                               10);
-       }},
-      {"wal_append_group",
-       [&] {
-         // Group commit: same durable mode, fsyncs coalesced over a 1ms /
-         // 64-record window — compare records_per_sec against the nosync and
-         // per-append-sync rows to see the recovered gap.
-         storage::GroupCommitOptions group;
-         group.window = std::chrono::milliseconds(1);
-         return WalAppendBench("wal_append_group", storage::SyncMode::kSync,
-                               large / 10, 10, group);
-       }},
-      {"checkpoint_small",
-       [&] { return CheckpointBench("checkpoint_small", small); }},
-      {"checkpoint_large",
-       [&] { return CheckpointBench("checkpoint_large", large); }},
-      {"recover_small",
-       [&] { return RecoveryBench("recover_small", small, 100, 10); }},
-      {"recover_large",
-       [&] { return RecoveryBench("recover_large", large, 1'000, 10); }},
-      {"churn_tree12",
-       [&] { return ChurnBench("churn_tree12", 12, FullScale() ? 200 : 50); }},
-  };
-
-  PrintHeader("bench_recovery: WAL / checkpoint / crash-recovery suite");
-  std::printf("%-22s %10s %14s %14s\n", "bench", "wall_ms", "tuples",
-              "tuples/s");
-
-  std::vector<BenchResult> results;
-  for (const auto& [name, make] : cases) {
-    if (!filter.empty() && name.find(filter) == std::string::npos) continue;
-    BenchResult best;
-    for (int r = 0; r < repeat; ++r) best = Best(std::move(best), make());
-    if (best.metrics.empty()) {
-      std::fprintf(stderr, "error: bench %s failed\n", name.c_str());
-      return 1;
-    }
-    double tuples = best.Metric("tuples") + best.Metric("tuples_recovered") +
-                    best.Metric("tuples_inserted");
-    double rate = best.Metric("tuples_per_sec") +
-                  best.Metric("recover_tuples_per_sec") +
-                  best.Metric("save_tuples_per_sec");
-    std::printf("%-22s %10.2f %14.0f %14.0f\n", best.name.c_str(),
-                best.Metric("wall_ms"), tuples, rate);
-    results.push_back(std::move(best));
-  }
-
-  if (results.empty()) {
-    std::fprintf(stderr, "no benches matched filter '%s'\n", filter.c_str());
-    return 1;
-  }
-  if (!WriteJson(out_path, results, repeat)) {
-    std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s (%zu benches)\n", out_path.c_str(), results.size());
-  return 0;
+  return row;
 }
 
 }  // namespace
-}  // namespace p2pdb::bench
 
-int main(int argc, char** argv) { return p2pdb::bench::Main(argc, argv); }
+std::vector<Case> RecoveryCases() {
+  const size_t small = FullScale() ? 5'000 : 1'000;
+  const size_t large = FullScale() ? 50'000 : 10'000;
+  auto bench = [](std::string name, std::function<Result<Row>()> measure) {
+    return BestOfCase("recovery", std::move(name), std::move(measure));
+  };
+  // Group commit: same durable mode as wal_append_sync, fsyncs coalesced over
+  // a 1ms / 64-record window — compare records_per_sec against the nosync and
+  // per-append-sync rows to see the recovered gap.
+  storage::GroupCommitOptions group;
+  group.window = std::chrono::milliseconds(1);
+  return {
+      bench("wal_append_nosync",
+            [=] {
+              return WalAppendBench("wal_append_nosync",
+                                    storage::SyncMode::kNoSync, large / 10, 10);
+            }),
+      // fsync-bound: keep the record count small even at full scale.
+      bench("wal_append_sync",
+            [] {
+              return WalAppendBench("wal_append_sync",
+                                    storage::SyncMode::kSync, 200, 10);
+            }),
+      bench("wal_append_group",
+            [=] {
+              return WalAppendBench("wal_append_group",
+                                    storage::SyncMode::kSync, large / 10, 10,
+                                    group);
+            }),
+      bench("checkpoint_small",
+            [=] { return CheckpointBench("checkpoint_small", small); }),
+      bench("checkpoint_large",
+            [=] { return CheckpointBench("checkpoint_large", large); }),
+      bench("recover_small",
+            [=] { return RecoveryBench("recover_small", small, 100, 10); }),
+      bench("recover_large",
+            [=] { return RecoveryBench("recover_large", large, 1'000, 10); }),
+      bench("churn_tree12",
+            [] {
+              return ChurnBench("churn_tree12", 12, FullScale() ? 200 : 50);
+            }),
+  };
+}
+
+}  // namespace p2pdb::bench

@@ -4,15 +4,17 @@
 // (simulated network time and host wall time) and message statistics.
 //
 // Expected shape (paper): execution time grows linearly with the depth of
-// tree/layered topologies; cliques are much more expensive in messages.
-#include <cstdio>
+// tree/layered topologies (e5_depth fits it); cliques are much more
+// expensive in messages.
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 
-using namespace p2pdb;        // NOLINT
-using namespace p2pdb::bench;  // NOLINT
+namespace p2pdb::bench {
+namespace {
 
-int main() {
+Result<std::vector<Row>> Scalability() {
   const bool full = FullScale();
   const size_t tree_records = full ? 1000 : 650;  // ~20k total at 31 nodes.
   // Cliques are the protocol's worst case: n^2 rules, and every peer re-mints
@@ -22,16 +24,12 @@ int main() {
   // paper's record counts.
   const size_t clique_records = full ? 650 : 25;
 
-  PrintHeader("E3 scalability: global update, time and messages vs nodes");
-  std::printf("%-12s %5s %7s %6s %10s %9s %12s %10s %7s\n", "topology",
-              "nodes", "records", "depth", "sim-ms", "wall-ms", "messages",
-              "kbytes", "closed");
-
   using Kind = workload::TopologySpec::Kind;
   struct Config {
     Kind kind;
     size_t records;
   };
+  std::vector<Row> rows;
   for (const Config& config :
        {Config{Kind::kTree, tree_records},
         Config{Kind::kLayeredDag, tree_records},
@@ -42,23 +40,24 @@ int main() {
       options.topology.nodes = nodes;
       options.topology.layers = 4;
       options.records_per_node = config.records;
-      RunMetrics m = RunScenario(options);
-      std::printf("%-12s %5zu %7zu %6zu %10.1f %9.1f %12llu %10llu %7s\n",
-                  workload::TopologyKindName(config.kind), nodes,
-                  config.records, m.depth, m.sim_ms, m.wall_ms,
-                  static_cast<unsigned long long>(m.messages),
-                  static_cast<unsigned long long>(m.bytes / 1024),
-                  m.all_closed ? "yes" : "NO");
+      P2PDB_ASSIGN_OR_RETURN(RunMetrics m, RunScenario(options));
+      Row row = ScenarioRow(std::string("e3_scalability_") +
+                                workload::TopologyKindName(config.kind) + "_" +
+                                std::to_string(nodes),
+                            m);
+      row.metrics.emplace_back("nodes", nodes);
+      row.metrics.emplace_back("records", config.records);
+      rows.push_back(std::move(row));
     }
   }
-  std::printf(
-      "\npaper comparison: the preliminary experiments (31 nodes, ~20000\n"
-      "records, 3 schemas) report execution time linear in the depth of the\n"
-      "tree and layered structures; see bench_depth for the explicit fit.\n"
-      "Cliques pay quadratic message counts, the paper's worst case.\n");
-  if (!full) {
-    std::printf("(clique record count trimmed; set P2PDB_BENCH_FULL=1 for "
-                "paper-scale cliques)\n");
-  }
-  return 0;
+  return rows;
 }
+
+}  // namespace
+
+std::vector<Case> ScalabilityCases() {
+  return {Case{"paper", "e3_scalability",
+               [](const RunArgs&) { return Scalability(); }}};
+}
+
+}  // namespace p2pdb::bench

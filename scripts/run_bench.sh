@@ -1,22 +1,19 @@
 #!/usr/bin/env bash
-# Builds the Release preset and runs one JSON-emitting bench harness,
-# writing a BENCH_<name>.json with per-bench wall-clock and throughput.
+# Builds the Release preset and runs one suite of bench_main, writing a
+# BENCH_<suite>.json with per-bench wall-clock and throughput.
 #
-#   scripts/run_bench.sh [OUT.json] [--bench NAME] [extra bench args...]
+#   scripts/run_bench.sh [OUT.json] [--suite NAME] [extra bench args...]
 #
-# --bench selects which harness runs (so a single suite, e.g. the recovery
-# bench, can be run/emitted without the full update suite):
-#   main      end-to-end update suite (default; emits BENCH_p2pdb.json)
-#   recovery  WAL/checkpoint/crash-recovery suite (emits BENCH_recovery.json)
-#   tcp       frame codec + loopback socket runtime suite (emits BENCH_tcp.json
-#             — including the `coalescing` section: frames-per-update with and
-#             without batching, and exact-ack vs quiet-window fixpoint latency
-#             — plus obs.json, the observability snapshot of the fully traced
-#             durable update: metrics registry + trace reports)
-#   queries   MVCC query plane suite: QPS quiescent vs concurrent with a
-#             propagating update, read-latency percentiles (emits
-#             BENCH_queries.json plus its observability snapshot)
-# Extra args (e.g. --filter SUBSTR, --repeat N) are passed through.
+# --suite (default: update) is passed through to bench_main:
+#   update    end-to-end update per topology family
+#   recovery  WAL/checkpoint/crash-recovery
+#   tcp       frame codec, loopback sockets, coalescing, trace overhead
+#   queries   MVCC query plane: QPS quiescent vs during an update
+#   paper     the paper's Section-5 experiments (E1-E5, A1-A6, B1)
+#   all       every suite
+# The tcp and queries suites also write <OUT>_obs.json, the observability
+# snapshot of their traced run. Extra args (e.g. --filter SUBSTR, --repeat N)
+# are passed through.
 #
 # Env: P2PDB_BENCH_REPEAT (default 2), P2PDB_BENCH_FULL=1 for paper-scale
 # record counts.
@@ -32,41 +29,28 @@ if [[ $# -gt 0 && $1 != --* ]]; then
   shift
 fi
 
-BENCH="main"
+SUITE="update"
 ARGS=()
 while [[ $# -gt 0 ]]; do
-  if [[ $1 == --bench ]]; then
-    [[ $# -ge 2 ]] || { echo "error: --bench needs a name" >&2; exit 2; }
-    BENCH="$2"
+  if [[ $1 == --suite ]]; then
+    [[ $# -ge 2 ]] || { echo "error: --suite needs a name" >&2; exit 2; }
+    SUITE="$2"
     shift 2
   else
     ARGS+=("$1")
     shift
   fi
 done
+OUT="${OUT:-BENCH_$SUITE.json}"
 
-case "$BENCH" in
-  main)     TARGET=bench_main;     DEFAULT_OUT=BENCH_p2pdb.json ;;
-  recovery) TARGET=bench_recovery; DEFAULT_OUT=BENCH_recovery.json ;;
-  tcp)      TARGET=bench_tcp;      DEFAULT_OUT=BENCH_tcp.json ;;
-  queries)  TARGET=bench_queries;  DEFAULT_OUT=BENCH_queries.json ;;
-  *)
-    echo "error: unknown bench '$BENCH' (expected: main, recovery, tcp, queries)" >&2
-    exit 2
-    ;;
-esac
-OUT="${OUT:-$DEFAULT_OUT}"
-
-# The tcp and queries suites also dump the observability snapshot next to
-# their bench JSON.
-if [[ "$BENCH" == tcp || "$BENCH" == queries ]]; then
+if [[ "$SUITE" == tcp || "$SUITE" == queries ]]; then
   ARGS+=(--obs "${OUT%.json}_obs.json")
 fi
 
 cmake --preset release
-cmake --build --preset release -j "$(nproc)" --target "$TARGET"
+cmake --build --preset release -j "$(nproc)" --target bench_main
 
-"./build/release/$TARGET" --out "$OUT" \
+./build/release/bench_main --suite "$SUITE" --out "$OUT" \
     --repeat "${P2PDB_BENCH_REPEAT:-2}" "${ARGS[@]+"${ARGS[@]}"}"
 
 case "$OUT" in

@@ -1,5 +1,9 @@
 #include "src/core/control.h"
 
+#include "src/core/discovery.h"
+#include "src/core/update.h"
+#include "src/util/string_util.h"
+
 namespace p2pdb::core::wire {
 
 namespace {
@@ -233,6 +237,45 @@ Result<StatusReport> StatusReport::Decode(ByteView bytes) {
   out.token_passes = passes;
   WIRE_TRY(reopens, r.GetVarint());
   out.reopens = reopens;
+  return out;
+}
+
+std::string FormatStatusTable(const std::vector<StatusReport>& rows) {
+  auto discovery_name = [](uint8_t state) {
+    switch (static_cast<DiscoveryEngine::State>(state)) {
+      case DiscoveryEngine::State::kClosed:
+        return "closed";
+      case DiscoveryEngine::State::kDiscovery:
+        return "disc";
+      default:
+        return "undef";
+    }
+  };
+  auto update_name = [](uint8_t state) {
+    switch (static_cast<UpdateEngine::State>(state)) {
+      case UpdateEngine::State::kClosed:
+        return "closed";
+      case UpdateEngine::State::kOpen:
+        return "open";
+      default:
+        return "idle";
+    }
+  };
+  std::string out = StrFormat("%-6s %-8s %-8s %10s %8s %8s %8s %8s %8s\n",
+                              "node", "state_d", "state_u", "tuples",
+                              "inserted", "joins", "answers", "tokens",
+                              "reopens");
+  for (const StatusReport& r : rows) {
+    out += StrFormat("%-6s %-8s %-8s %10llu %8llu %8llu %8llu %8llu %8llu\n",
+                     r.name.c_str(), discovery_name(r.state_discovery),
+                     update_name(r.state_update),
+                     static_cast<unsigned long long>(r.tuples),
+                     static_cast<unsigned long long>(r.tuples_inserted),
+                     static_cast<unsigned long long>(r.joins_evaluated),
+                     static_cast<unsigned long long>(r.answers_sent),
+                     static_cast<unsigned long long>(r.token_passes),
+                     static_cast<unsigned long long>(r.reopens));
+  }
   return out;
 }
 

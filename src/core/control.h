@@ -139,6 +139,10 @@ struct StatusReport {
   static Result<StatusReport> Decode(ByteView bytes);
 };
 
+/// The statistics rows as a text table, one line per peer, the form
+/// Session::CollectStatistics and p2pdb_fleetctl print.
+std::string FormatStatusTable(const std::vector<StatusReport>& rows);
+
 /// Database fetch, controller -> peer (convergence verification).
 struct DumpRequest {
   uint64_t epoch = 0;

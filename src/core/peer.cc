@@ -246,6 +246,23 @@ void Peer::AdoptTopology(const std::set<wire::Edge>& edges) {
   known_edges_.insert(mine.edges().begin(), mine.edges().end());
 }
 
+wire::StatusReport Peer::Statistics(uint64_t epoch) const {
+  wire::StatusReport report;
+  report.epoch = epoch;
+  report.node = id_;
+  report.name = name_;
+  report.state_discovery = static_cast<uint8_t>(discovery_->state());
+  report.state_update = static_cast<uint8_t>(update_->state());
+  report.tuples = db_.TotalTuples();
+  const UpdateEngine::Stats& stats = update_->stats();
+  report.tuples_inserted = stats.tuples_inserted;
+  report.joins_evaluated = stats.joins_evaluated;
+  report.answers_sent = stats.answers_sent;
+  report.token_passes = stats.token_passes;
+  report.reopens = stats.reopens;
+  return report;
+}
+
 std::vector<std::vector<NodeId>> Peer::MaximalPaths() const {
   return DependencyGraph(known_edges_).MaximalPathsFrom(id_);
 }

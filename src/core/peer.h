@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/control.h"
 #include "src/core/discovery.h"
 #include "src/core/system.h"
 #include "src/core/update.h"
@@ -146,6 +147,9 @@ class Peer : public net::PeerHandler {
   UpdateEngine& update() { return *update_; }
   const DiscoveryEngine& discovery() const { return *discovery_; }
   const UpdateEngine& update() const { return *update_; }
+
+  /// This peer's Section-5 statistics row: phase states plus update counters.
+  wire::StatusReport Statistics(uint64_t epoch) const;
 
   // --- Topology knowledge (installed by the discovery closure wave) ---
   const std::set<wire::Edge>& known_edges() const { return known_edges_; }

@@ -4,7 +4,6 @@
 #include "src/core/dependency.h"
 #include "src/core/query.h"
 #include "src/obs/metrics.h"
-#include "src/util/string_util.h"
 
 namespace p2pdb::core {
 
@@ -290,33 +289,12 @@ std::vector<rel::Database> Session::SnapshotDatabases() const {
 }
 
 std::string Session::CollectStatistics() const {
-  std::string out = StrFormat(
-      "%-6s %-8s %-8s %10s %8s %8s %8s %8s\n", "node", "state_d", "state_u",
-      "tuples", "inserted", "joins", "answers", "reopens");
+  std::vector<wire::StatusReport> rows;
   for (const auto& peer : peers_) {
-    if (peer == nullptr) continue;
-    const UpdateEngine::Stats& stats = peer->update().stats();
-    const char* state_d =
-        peer->discovery().state() == DiscoveryEngine::State::kClosed
-            ? "closed"
-            : (peer->discovery().state() == DiscoveryEngine::State::kDiscovery
-                   ? "disc"
-                   : "undef");
-    const char* state_u =
-        peer->update().state() == UpdateEngine::State::kClosed
-            ? "closed"
-            : (peer->update().state() == UpdateEngine::State::kOpen ? "open"
-                                                                    : "idle");
-    out += StrFormat(
-        "%-6s %-8s %-8s %10zu %8llu %8llu %8llu %8llu\n", peer->name().c_str(),
-        state_d, state_u, peer->db().TotalTuples(),
-        static_cast<unsigned long long>(stats.tuples_inserted),
-        static_cast<unsigned long long>(stats.joins_evaluated),
-        static_cast<unsigned long long>(stats.answers_sent),
-        static_cast<unsigned long long>(stats.reopens));
+    if (peer != nullptr) rows.push_back(peer->Statistics(0));
   }
-  out += "network: " + runtime_->stats().Report();
-  return out;
+  return wire::FormatStatusTable(rows) +
+         "network: " + runtime_->stats().Report();
 }
 
 }  // namespace p2pdb::core

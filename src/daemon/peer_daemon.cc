@@ -234,24 +234,10 @@ void PeerDaemon::OnMessage(const net::Message& msg) {
     case net::MessageType::kRefreshScc:
       peer_->update().RefreshScc();
       return;
-    case net::MessageType::kStatusRequest: {
-      wire::StatusReport report;
-      report.epoch = epoch_.load();
-      report.node = config_.node;
-      report.name = config_.name;
-      report.state_discovery =
-          static_cast<uint8_t>(peer_->discovery().state());
-      report.state_update = static_cast<uint8_t>(peer_->update().state());
-      report.tuples = peer_->db().TotalTuples();
-      const core::UpdateEngine::Stats& stats = peer_->update().stats();
-      report.tuples_inserted = stats.tuples_inserted;
-      report.joins_evaluated = stats.joins_evaluated;
-      report.answers_sent = stats.answers_sent;
-      report.token_passes = stats.token_passes;
-      report.reopens = stats.reopens;
-      Reply(msg.from, net::MessageType::kStatusReport, report.Encode());
+    case net::MessageType::kStatusRequest:
+      Reply(msg.from, net::MessageType::kStatusReport,
+            peer_->Statistics(epoch_.load()).Encode());
       return;
-    }
     case net::MessageType::kDumpRequest: {
       wire::DumpReply reply;
       reply.epoch = epoch_.load();

@@ -301,14 +301,13 @@ void MailboxRuntime::EnsureStarted() {
 Status MailboxRuntime::Run() {
   EnsureStarted();
   auto deadline = std::chrono::steady_clock::now() + options_.timeout;
-  // Quiescence: in_flight_ observed zero continuously for the quiet window
-  // (handlers only send from within handlers, so zero is stable once true
-  // unless a timer later fires; pending timers keep in_flight_ > 0).
-  std::chrono::steady_clock::time_point zero_since{};
-  bool was_zero = false;
+  // Quiescence: the in-flight accounting is exact — a message is counted
+  // before the handler that sent it releases its own hold, a timed send is
+  // held until the timer has sent it, and a transport holds every frame until
+  // the receiver consumed it — so the first observed zero IS quiescence.
   for (;;) {
-    auto now = std::chrono::steady_clock::now();
-    if (now > deadline) {
+    if (in_flight_.load() == 0) return Status::OK();
+    if (std::chrono::steady_clock::now() > deadline) {
       std::string pending = PendingWorkReport();
       P2PDB_LOG(kWarn) << "quiescence not reached by deadline; pending work:\n"
                        << (pending.empty() ? "  (untracked in-flight holds)\n"
@@ -316,20 +315,6 @@ Status MailboxRuntime::Run() {
       return Status::Internal(
           "MailboxRuntime: quiescence not reached in time (in flight: " +
           std::to_string(in_flight_.load()) + ")\n" + pending);
-    }
-    if (in_flight_.load() == 0) {
-      // A zero quiet window means the accounting is exact (every unit of
-      // work is held from creation to consumption), so the first observed
-      // zero IS quiescence — no wall-clock heuristic.
-      if (options_.quiet_window.count() == 0) return Status::OK();
-      if (!was_zero) {
-        was_zero = true;
-        zero_since = now;
-      } else if (now - zero_since >= options_.quiet_window) {
-        return Status::OK();
-      }
-    } else {
-      was_zero = false;
     }
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
@@ -368,6 +353,10 @@ void MailboxRuntime::Shutdown() {
     timer.swap(timer_thread_);
     for (auto& [id, box] : mailboxes_) {
       (void)id;
+      // Holding the mailbox lock orders the stop_ store before the worker's
+      // next predicate check: a worker between its check and its wait
+      // cannot miss this wakeup and block Shutdown's join forever.
+      std::lock_guard<std::mutex> box_lock(box->mutex);
       box->cv.notify_all();
     }
   }

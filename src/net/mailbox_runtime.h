@@ -1,8 +1,9 @@
 // MailboxRuntime: the connection-independent half of the concurrent runtimes.
 // Owns everything ThreadRuntime and TcpRuntime share — one mailbox per peer
 // with a worker thread that serializes OnMessage dispatch, a timer thread for
-// ScheduleSend, dropped-message accounting, and wall-clock quiescence
-// detection for Run(). Subclasses decide only how a sent message reaches the
+// ScheduleSend, dropped-message accounting, and exact quiescence detection
+// for Run(): every unit of work is held in flight from creation to
+// consumption, so the first observed in-flight zero is the fixpoint. Subclasses decide only how a sent message reaches the
 // destination mailbox: ThreadRuntime enqueues directly, TcpRuntime pushes the
 // frame through a socket whose reader calls Deliver().
 #ifndef P2PDB_NET_MAILBOX_RUNTIME_H_
@@ -27,13 +28,6 @@ class MailboxRuntime : public Runtime {
   struct Options {
     /// Run() fails if quiescence is not reached within this bound.
     std::chrono::milliseconds timeout{30'000};
-    /// Run() declares quiescence once no message has been queued, timed, or
-    /// in a handler for this long, continuously. 0 means the in-flight
-    /// accounting is exact and the first observed zero terminates Run()
-    /// immediately — TcpRuntime's default, since its credit-ack protocol
-    /// tracks every frame from Send() until the receiver consumed it.
-    /// ThreadRuntime keeps a small nonzero window.
-    std::chrono::microseconds quiet_window{600};
   };
 
   ~MailboxRuntime() override;

@@ -35,8 +35,7 @@ Result<TcpRuntime::Endpoint> TcpRuntime::Endpoint::Parse(
 }
 
 TcpRuntime::TcpRuntime(Options options)
-    : MailboxRuntime(MailboxRuntime::Options{options.timeout,
-                                             options.quiet_window}),
+    : MailboxRuntime(MailboxRuntime::Options{options.timeout}),
       options_(std::move(options)) {
   Reactor::Options reactor_options;
   reactor_options.workers = options_.io_workers;

@@ -151,7 +151,7 @@ TEST(IntegrationTest, PaperScaleCliqueSmallData) {
 
 TEST(IntegrationTest, Tree31NodesThousandRecordsShape) {
   // The paper's headline configuration (31 nodes, trees) at reduced record
-  // count for test speed; the full size runs in bench_scalability.
+  // count for test speed; the full size runs in bench_main's e3_scalability.
   workload::ScenarioOptions options;
   options.topology.kind = workload::TopologySpec::Kind::kTree;
   options.topology.nodes = 31;

@@ -220,17 +220,7 @@ int RunDrive(int argc, char** argv) {
 
   std::printf("update session %llu reached fixpoint:\n",
               static_cast<unsigned long long>(session));
-  std::printf("  %-10s %10s %10s %10s %10s %8s %8s\n", "peer", "tuples",
-              "inserted", "joins", "answers", "tokens", "reopens");
-  for (const auto& r : reports) {
-    std::printf("  %-10s %10llu %10llu %10llu %10llu %8llu %8llu\n",
-                r.name.c_str(), static_cast<unsigned long long>(r.tuples),
-                static_cast<unsigned long long>(r.tuples_inserted),
-                static_cast<unsigned long long>(r.joins_evaluated),
-                static_cast<unsigned long long>(r.answers_sent),
-                static_cast<unsigned long long>(r.token_passes),
-                static_cast<unsigned long long>(r.reopens));
-  }
+  std::printf("%s", p2pdb::core::wire::FormatStatusTable(reports).c_str());
 
   int exit_code = 0;
   if (verify) {
